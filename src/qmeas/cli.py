@@ -7,7 +7,8 @@ checks (chsh, feasible), and dense-oracle verification (oracle-check,
 appc-report).  A config file supplies defaults; flags override it.  Every
 subcommand accepts --selftest to run its quick built-in checks.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical guard tripped.
+Exit codes: 0 success, 1 failed selftest check, 2 configuration error,
+3 numerical guard tripped.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, ambiguity, contextuality, curie_weiss, equilibrium, oracle, runs
-from .errors import GuardError, QmeasError, ValidationError
+from .errors import GuardError, QmeasError, SelftestError, ValidationError
 from .qstate import (
     DensityOperator,
     Observable,
@@ -207,6 +208,12 @@ def _grid_from_args(model, args) -> np.ndarray:
     return np.linspace(0.0, args.tmax_tau * tau, args.points)
 
 
+def _check(cond, msg: str) -> None:
+    """Selftest check; unlike assert it still runs under python -O."""
+    if not cond:
+        raise SelftestError(msg)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -222,12 +229,15 @@ def _cmd_truncate(args) -> dict:
 def _selftest_truncate():
     model = curie_weiss.build_model(4, 1.0, 0.0, 0, bloch_state((0, 0, 1)))
     res = curie_weiss.transverse_expectations(model, np.linspace(0, 2, 50))
-    assert np.max(np.abs(res.sx)) == 0.0 and np.max(np.abs(res.sy)) == 0.0
-    assert curie_weiss.truncation_time(curie_weiss.build_model(2, 1.0)) == 0.5
+    _check(np.max(np.abs(res.sx)) == 0.0 and np.max(np.abs(res.sy)) == 0.0,
+           "an s_z eigenstate must show no transverse signal")
+    _check(curie_weiss.truncation_time(curie_weiss.build_model(2, 1.0)) == 0.5,
+           "tau must be 1/(g sqrt(2N)) = 0.5 at N = 2, g = 1")
     m = curie_weiss.build_model(6, 1.0)
-    assert curie_weiss.offdiag_factor(m, 0.0) == 1.0
+    _check(curie_weiss.offdiag_factor(m, 0.0) == 1.0, "F(0) must be 1")
     # cos(pi/2) is ~6e-17 in floats, so the 6-factor product is ~5e-98
-    assert abs(curie_weiss.offdiag_factor(m, np.pi / 4.0)) < 1e-80
+    _check(abs(curie_weiss.offdiag_factor(m, np.pi / 4.0)) < 1e-80,
+           "F at cos(pi/2) must vanish to rounding")
 
 
 def _cmd_recur(args) -> dict:
@@ -253,9 +263,9 @@ def _cmd_recur(args) -> dict:
 def _selftest_recur():
     model = curie_weiss.build_model(16, 1.0, 0.0, 0)
     peaks = curie_weiss.recurrence_profile(model, 3)
-    assert all(abs(p.measured - 1.0) <= 1e-12 for p in peaks)
-    assert all(p.predicted == 1.0 for p in peaks)
-    assert abs(peaks[0].time - np.pi / 2.0) <= 1e-15
+    _check(all(abs(p.measured - 1.0) <= 1e-12 for p in peaks), "equal couplings must recur fully")
+    _check(all(p.predicted == 1.0 for p in peaks), "equal couplings must predict full recurrence")
+    _check(abs(peaks[0].time - np.pi / 2.0) <= 1e-15, "the first recurrence must sit at pi/(2g)")
 
 
 def _cmd_cascade(args) -> dict:
@@ -270,13 +280,13 @@ def _cmd_cascade(args) -> dict:
 def _selftest_cascade():
     model = curie_weiss.build_model(5, 1.0)
     cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), 0.0)
-    assert cx == 0.0 and cy == 0.0
+    _check(cx == 0.0 and cy == 0.0, "cascade correlators must vanish at t = 0")
     try:
         curie_weiss.cascade_correlation(model, 2, (0, 0), 0.1)
     except ValidationError:
         pass
     else:
-        raise AssertionError("repeated subset index must be rejected")
+        raise SelftestError("repeated subset index must be rejected")
 
 
 def _cmd_register(args) -> dict:
@@ -304,13 +314,15 @@ def _cmd_register(args) -> dict:
 
 
 def _selftest_register():
-    assert equilibrium.meanfield_magnetization(1.0, 1.5) == 0.0
-    assert abs(equilibrium.meanfield_magnetization(1.0, 0.5, 50.0) - 1.0) < 1e-6
-    assert equilibrium.g_threshold(1.0, 1.2) == 0.0
+    _check(equilibrium.meanfield_magnetization(1.0, 1.5) == 0.0, "no magnetization above T_C")
+    _check(abs(equilibrium.meanfield_magnetization(1.0, 0.5, 50.0) - 1.0) < 1e-6,
+           "a strong field must saturate m")
+    _check(equilibrium.g_threshold(1.0, 1.2) == 0.0, "no threshold field above T_C")
     grid = np.linspace(-0.9, 0.9, 7)
     f_plus = equilibrium.free_energy_profile(1.0, 0.8, 0.3, grid)
     f_mirror = equilibrium.free_energy_profile(1.0, 0.8, 0.3, -grid)
-    assert np.max(np.abs((f_plus - f_mirror) - (-2.0 * 0.3 * grid))) < 1e-12
+    _check(np.max(np.abs((f_plus - f_mirror) - (-2.0 * 0.3 * grid))) < 1e-12,
+           "F(m) - F(-m) must be -2 h m")
 
 
 def _cmd_finalstate(args) -> dict:
@@ -336,9 +348,10 @@ def _selftest_finalstate():
     up = bloch_state((0, 0, 1))
     joint = equilibrium.final_joint_state(up, tested, pointer)
     expected = tensor(up, pointer.pointer_states[0])
-    assert trace_distance(joint, expected) <= 1e-12
+    _check(trace_distance(joint, expected) <= 1e-12,
+           "an s_z eigenstate must pass into its own pointer state")
     p = runs.born_weights(bloch_state((1, 0, 0)), tested)
-    assert np.allclose(p, [0.5, 0.5], atol=1e-15)
+    _check(np.allclose(p, [0.5, 0.5], atol=1e-15), "+x must split 1/2, 1/2")
 
 
 def _cmd_born(args) -> dict:
@@ -361,11 +374,12 @@ def _cmd_born(args) -> dict:
 def _selftest_born():
     tested = runs.sz_observable()
     split = runs.sample_runs([1.0, 0.0], 100, 3)
-    assert split.counts == (100, 0)
+    _check(split.counts == (100, 0), "p = (1, 0) must send every run to outcome 0")
     p = runs.born_weights(bloch_state((0, 0, 0.6)), tested)
-    assert np.allclose(p, [0.8, 0.2], atol=1e-15)
+    _check(np.allclose(p, [0.8, 0.2], atol=1e-15), "r0 = 0.6 z must give Born weights (0.8, 0.2)")
     again = runs.sample_runs([0.5, 0.5], 1000, 7)
-    assert again.counts == runs.sample_runs([0.5, 0.5], 1000, 7).counts
+    _check(again.counts == runs.sample_runs([0.5, 0.5], 1000, 7).counts,
+           "a fixed seed must reproduce its counts")
 
 
 def _cmd_reduce(args) -> dict:
@@ -402,11 +416,13 @@ def _selftest_reduce():
     tested = runs.sz_observable()
     plus_x = bloch_state((1, 0, 0))
     b = runs.luders_branch(plus_x, tested, 0)
-    assert trace_distance(b.r, bloch_state((0, 0, 1))) <= 1e-12
+    _check(trace_distance(b.r, bloch_state((0, 0, 1))) <= 1e-12,
+           "the Luders branch of +x must be +z")
     pinched = runs.unread_reduction(bloch_state((0.3, 0.4, 0.5)), tested)
-    assert np.allclose(bloch_vector(pinched), [0, 0, 0.5], atol=1e-14)
+    _check(np.allclose(bloch_vector(pinched), [0, 0, 0.5], atol=1e-14),
+           "the unread pinch must keep only the z component")
     mixed = runs.unread_reduction(plus_x, tested)
-    assert abs(vn_entropy(mixed) - np.log(2.0)) <= 1e-12
+    _check(abs(vn_entropy(mixed) - np.log(2.0)) <= 1e-12, "pinching +x must give entropy ln 2")
 
 
 def _cmd_ambiguity(args) -> dict:
@@ -426,14 +442,15 @@ def _cmd_ambiguity(args) -> dict:
 
 def _selftest_ambiguity():
     dec = ambiguity.chord_decomposition((0, 0, 0), (0, 0, 1))
-    assert np.allclose(dec.v1, [0, 0, 1]) and np.allclose(dec.v2, [0, 0, -1])
-    assert abs(dec.rho1 - 0.5) <= 1e-15
+    _check(np.allclose(dec.v1, [0, 0, 1]) and np.allclose(dec.v2, [0, 0, -1]),
+           "the z chord must end at the poles")
+    _check(abs(dec.rho1 - 0.5) <= 1e-15, "the centre must split the z chord evenly")
     try:
         ambiguity.ambiguity_witness((0, 0, 0), (0, 0, 1), (0, 0, -1))
     except ValidationError:
         pass
     else:
-        raise AssertionError("parallel chords must be rejected")
+        raise SelftestError("parallel chords must be rejected")
 
 
 def _cmd_dispersionless(args) -> dict:
@@ -458,10 +475,11 @@ def _cmd_dispersionless(args) -> dict:
 def _selftest_dispersionless():
     z_up = bloch_state((0, 0, 1))
     sz = Observable(np.diag([1.0 + 0j, -1.0]))
-    assert ambiguity.is_dispersionless(z_up, sz)
-    assert not ambiguity.is_dispersionless(maximally_mixed(2), sz)
+    _check(ambiguity.is_dispersionless(z_up, sz), "+z must be dispersionless for s_z")
+    _check(not ambiguity.is_dispersionless(maximally_mixed(2), sz),
+           "the mixed state must not be dispersionless for s_z")
     fam = ambiguity.dispersionless_family(maximally_mixed(3))
-    assert fam.param_count == 1
+    _check(fam.param_count == 1, "the maximally mixed qutrit must leave one certain parameter")
 
 
 def _cmd_chsh(args) -> dict:
@@ -488,9 +506,10 @@ def _selftest_chsh():
     x = np.array([1.0, 0.0, 0.0])
     same = contextuality.pair_correlator(state, contextuality.DirectionPair(z, z))
     perp = contextuality.pair_correlator(state, contextuality.DirectionPair(z, x))
-    assert abs(same + 1.0) <= 1e-12 and abs(perp) <= 1e-12
+    _check(abs(same + 1.0) <= 1e-12 and abs(perp) <= 1e-12,
+           "singlet correlators must be -1 along z, z and 0 along z, x")
     c = contextuality.chsh_value(state, *contextuality.optimal_chsh_axes())
-    assert abs(c - 2.0 * np.sqrt(2.0)) <= 1e-12
+    _check(abs(c - 2.0 * np.sqrt(2.0)) <= 1e-12, "the optimal CHSH value must be 2 sqrt 2")
 
 
 def _cmd_feasible(args) -> dict:
@@ -516,10 +535,11 @@ def _cmd_feasible(args) -> dict:
 def _selftest_feasible():
     flat = contextuality.CorrelatorTable(np.zeros((2, 2)))
     res = contextuality.joint_distribution_feasible(flat)
-    assert res.feasible
+    _check(res.feasible, "the zero table must be feasible")
     singlet_table = contextuality.table_from_state(contextuality.singlet_state())
     res2 = contextuality.joint_distribution_feasible(singlet_table)
-    assert not res2.feasible and res2.witness.kind == "chsh"
+    _check(not res2.feasible and res2.witness.kind == "chsh",
+           "the singlet table must be refuted by a CHSH witness")
 
 
 def _cmd_oracle_check(args) -> dict:
@@ -553,10 +573,13 @@ def _selftest_oracle_check():
     model = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     sb = oracle.sector_blocks_at(model, 0.0)
     eye = np.eye(4) / 4.0
-    assert np.allclose(sb.blocks[(0, 0)], 0.5 * eye, atol=1e-15)
-    assert np.allclose(sb.blocks[(0, 1)], 0.5 * eye, atol=1e-15)
+    _check(np.allclose(sb.blocks[(0, 0)], 0.5 * eye, atol=1e-15),
+           "the initial up-up block must be I/8")
+    _check(np.allclose(sb.blocks[(0, 1)], 0.5 * eye, atol=1e-15),
+           "the initial up-down block must be I/8")
     joint = oracle.reconstruct_joint(sb, model.r0)
-    assert abs(np.trace(joint.matrix) - 1.0) <= 1e-12
+    _check(abs(np.trace(joint.matrix) - 1.0) <= 1e-12,
+           "the reassembled joint state must have unit trace")
 
 
 def _cmd_appc_report(args) -> dict:
@@ -575,10 +598,10 @@ def _cmd_appc_report(args) -> dict:
 def _selftest_appc_report():
     model1 = curie_weiss.build_model(1, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     rep1 = oracle.appendix_c_report(oracle.iter_sector_blocks(model1, [0.0, 0.1]))
-    assert rep1.no_macroscopic_limit
+    _check(rep1.no_macroscopic_limit, "N = 1 must be flagged as having no macroscopic limit")
     model2 = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     rep2 = oracle.appendix_c_report(oracle.iter_sector_blocks(model2, [0.0, 0.3, 0.7]))
-    assert rep2.invariant_ok
+    _check(rep2.invariant_ok, "the block invariant must hold at N = 2")
 
 
 _COMMANDS = {
@@ -768,7 +791,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.selftest:
             try:
                 selftest()
-            except AssertionError as exc:
+            except SelftestError as exc:
                 print(f"selftest {args.command}: FAIL {exc}", file=sys.stderr)
                 return 1
             print(f"selftest {args.command}: PASS")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, xlogy
 
 from .curie_weiss import DENSE_N_MAX
@@ -232,10 +231,14 @@ def meanfield_magnetization(j: float, t: float, field: float = 0.0):
         lo = 1e-8
         if _mf_residual(lo, j, t, 0.0) >= 0.0:
             return (0.0, 0.0)
+        from scipy.optimize import brentq  # deferred: about 0.4 s of import time
+
         m = brentq(_mf_residual, lo, 1.0, args=(j, t, 0.0), xtol=1e-15, rtol=8.9e-16)
         if abs(_mf_residual(m, j, t, 0.0)) > 1e-12:
             raise ConvergenceError("mean-field fixed point not satisfied to 1e-12")
         return (-m, m)
+    from scipy.optimize import brentq
+
     sign = 1.0 if field > 0 else -1.0
     m = brentq(_mf_residual, 0.0, 1.0, args=(j, t, abs(field)), xtol=1e-15, rtol=8.9e-16)
     if abs(_mf_residual(m, j, t, abs(field))) > 1e-12:
@@ -385,10 +388,23 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
     return Observable(np.diag(h.astype(np.complex128))), Observable(np.diag(m.astype(np.complex128)))
 
 
+def _diagonal_of(op, what: str) -> np.ndarray:
+    """Diagonal of a square matrix that must have no off-diagonal entry."""
+    m = np.asarray(op)
+    d = np.diagonal(m)
+    if np.count_nonzero(m) != np.count_nonzero(d):
+        raise ValidationError(f"{what} must be diagonal in the M_z basis")
+    return d
+
+
 @dataclass(frozen=True)
 class PointerModel:
     """Registered magnet: outcomes A_i with window projectors and the
-    associated equilibrium states, windowed (R_i) and sourced (R_i^h)."""
+    associated equilibrium states, windowed (R_i) and sourced (R_i^h).
+
+    The pointer observable, window projectors and pointer states must be
+    diagonal in the M_z basis; the checks run on their diagonals.
+    """
 
     pointer_obs: Observable
     outcomes: tuple[float, ...]
@@ -405,27 +421,31 @@ class PointerModel:
         if self.window <= 0:
             raise ValidationError("window half-width must be positive")
         projs = tuple(np.asarray(p) for p in self.window_projectors)
+        a = _diagonal_of(self.pointer_obs.matrix, "pointer observable").real
+        p = [_diagonal_of(q, "window projector") for q in projs]
+        r = [_diagonal_of(st.matrix, "pointer state") for st in self.pointer_states]
+        if any(v.shape != a.shape for v in p + r):
+            raise ValidationError("pointer operators must share the magnet dimension")
+        # products of diagonal operators are elementwise products of diagonals
         for i in range(n):
             for jdx in range(n):
-                prod = projs[i] @ projs[jdx]
-                ref = projs[i] if i == jdx else 0.0
-                if np.max(np.abs(prod - ref)) > 1e-12:
+                ref = p[i] if i == jdx else 0.0
+                if np.max(np.abs(p[i] * p[jdx] - ref)) > 1e-12:
                     raise ValidationError("window projectors must be orthogonal")
         for i in range(n):
             for jdx in range(n):
-                pinched = projs[i] @ self.pointer_states[jdx].matrix @ projs[i]
-                ref = self.pointer_states[i].matrix if i == jdx else np.zeros_like(pinched)
-                if np.max(np.abs(pinched - ref)) > 1e-8:
+                ref = r[i] if i == jdx else 0.0
+                if np.max(np.abs(p[i] * r[jdx] * p[i] - ref)) > 1e-8:
                     raise ValidationError("pointer state leaks outside its window")
         gaps = [abs(self.outcomes[i] - self.outcomes[jdx])
                 for i in range(n) for jdx in range(i + 1, n)]
         if gaps and self.window > min(gaps) / 3.0 + 1e-12:
             raise ValidationError("window too wide for the outcome spacing")
-        for i, (a_i, r_i) in enumerate(zip(self.outcomes, self.pointer_states)):
-            mean = qexpect(r_i, self.pointer_obs)
+        for i, (a_i, r_i) in enumerate(zip(self.outcomes, r)):
+            mean = float(np.dot(r_i.real, a))
             if abs(mean - a_i) > self.window:
                 raise ValidationError(f"pointer mean for outcome {i} drifts past the window")
-            second = qexpect(r_i, Observable(self.pointer_obs.matrix @ self.pointer_obs.matrix))
+            second = float(np.dot(r_i.real, a * a))
             sdev = float(np.sqrt(max(0.0, second - mean**2)))
             if sdev > self.window / 3.0 + 1e-9:
                 raise ValidationError(f"pointer fluctuation too large for outcome {i}")

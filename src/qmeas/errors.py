@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-numerical guards and validation failures exit 3.
+The CLI maps these onto exit codes: validation failures (configuration
+problems included) and unusable output paths exit 2; size guards and the
+other numerical failures exit 3; a failed --selftest check exits 1.
 """
 
 
@@ -23,3 +24,7 @@ class ConvergenceError(QmeasError, RuntimeError):
 
 class InfeasibleError(QmeasError, ValueError):
     """Requested constraints admit no state (maxent dual diverges)."""
+
+
+class SelftestError(QmeasError):
+    """A --selftest check did not hold."""

@@ -4,12 +4,15 @@ The joint state is stored per tested-spin sector as magnet-space blocks
 W_ij(t) = r_ij(0) * R_ij(t), with R_ij(t) = U_i(t) (I/2^N) U_j(t)^dagger and
 U_i generated by K_i = H_M + h_i (h_i the magnet field selected by tested
 sector i).  For the dephasing model all K_i are diagonal, so the propagators
-are exact phase vectors and there is no time-stepping error.  Everything the
-analytic layer claims (F, transverse series, cascade correlators) is
-recomputed here from the 2^N basis sums and compared at small N.
+are exact phase vectors, there is no time-stepping error, and each block is
+kept as its length-2^N diagonal; only a non-diagonal magnet Hamiltonian
+leads to dense blocks.  Everything the analytic layer claims (F, transverse
+series, cascade correlators) is recomputed here from the 2^N basis sums and
+compared at small N.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,11 +32,39 @@ _DENSE_BYTES_MAX = 1_500_000_000
 _TRACE_TOL = 1e-12
 
 
+class BlockMap(Mapping):
+    """Read-only (i, j) -> magnet-space block.
+
+    With is_diagonal set, each block is stored as its length-2^N diagonal
+    and expanded with np.diag only when a key is read; otherwise the dense
+    matrices are stored and returned as they are.  diag() gives a block's
+    diagonal without building the matrix.
+    """
+
+    def __init__(self, stored: dict, is_diagonal: bool):
+        self._stored = dict(stored)
+        self.is_diagonal = bool(is_diagonal)
+
+    def __getitem__(self, key) -> np.ndarray:
+        b = self._stored[key]
+        return np.diag(b) if self.is_diagonal else b
+
+    def __iter__(self):
+        return iter(self._stored)
+
+    def __len__(self) -> int:
+        return len(self._stored)
+
+    def diag(self, key) -> np.ndarray:
+        b = self._stored[key]
+        return b if self.is_diagonal else np.diag(b)
+
+
 @dataclass(frozen=True)
 class SectorBlocks:
     """Magnet-space blocks of the joint state at one time.
 
-    blocks[(i, j)] stores the weighted block r_ij(0) * R_ij(t), so the
+    blocks[(i, j)] is the weighted block r_ij(0) * R_ij(t), so the
     diagonal traces sum to 1 and reassembly needs no extra factors;
     sector_weights holds the r_ij(0) for recovering the bare R_ij.
     """
@@ -41,17 +72,19 @@ class SectorBlocks:
     time: float
     projectors: tuple[np.ndarray, ...]
     sector_weights: np.ndarray
-    blocks: dict
+    blocks: BlockMap
 
     def __post_init__(self):
         n_sec = len(self.projectors)
         if self.sector_weights.shape != (n_sec, n_sec):
             raise ValidationError("sector_weights must be square over sectors")
+        # pair stored diagonals directly (.T leaves a vector as it is)
+        get = self.blocks.diag if self.blocks.is_diagonal else self.blocks.__getitem__
         for i in range(n_sec):
             for j in range(i + 1, n_sec):
-                if not np.array_equal(self.blocks[(j, i)], self.blocks[(i, j)].conj().T):
+                if not np.array_equal(get((j, i)), get((i, j)).conj().T):
                     raise ValidationError("blocks must satisfy W_ji = W_ij^dagger exactly")
-        total = sum(np.trace(self.blocks[(i, i)]) for i in range(n_sec))
+        total = sum(self.blocks.diag((i, i)).sum() for i in range(n_sec))
         if abs(total - 1.0) > _TRACE_TOL:
             raise ValidationError("diagonal block traces must sum to 1")
 
@@ -130,7 +163,8 @@ class _Propagators:
 
 def sector_blocks_at(model: CurieWeissModel, t: float, magnet_hamiltonian=None,
                      _prop: _Propagators | None = None) -> SectorBlocks:
-    """Dense joint state at one time, as weighted sector blocks."""
+    """Joint state at one time, as weighted sector blocks; the diagonal path
+    stores each block as its diagonal."""
     prop = _prop if _prop is not None else _Propagators(model, magnet_hamiltonian)
     w = _sector_weights(model)
     us = prop.unitaries(float(t))
@@ -139,14 +173,14 @@ def sector_blocks_at(model: CurieWeissModel, t: float, magnet_hamiltonian=None,
     for i in range(2):
         for j in range(i, 2):
             if prop.diagonal:
-                wij = np.diag(w[i, j] * inv_dim * us[i] * np.conj(us[j]))
+                wij = w[i, j] * inv_dim * us[i] * np.conj(us[j])
             else:
                 wij = w[i, j] * inv_dim * (us[i] @ us[j].conj().T)
             blocks[(i, j)] = wij
             if j != i:
                 blocks[(j, i)] = wij.conj().T
-    return SectorBlocks(time=float(t), projectors=_projectors(),
-                        sector_weights=w, blocks=blocks)
+    return SectorBlocks(time=float(t), projectors=_projectors(), sector_weights=w,
+                        blocks=BlockMap(blocks, is_diagonal=prop.diagonal))
 
 
 def iter_sector_blocks(model: CurieWeissModel, times,
@@ -177,7 +211,7 @@ def reconstruct_joint(sb: SectorBlocks, r0: DensityOperator) -> DensityOperator:
         raise ValidationError("r0 sector count does not match the blocks")
     if np.max(np.abs(w - sb.sector_weights)) > 1e-12:
         raise ValidationError("r0 disagrees with the weights stored in the blocks")
-    dim_m = sb.blocks[(0, 0)].shape[0]
+    dim_m = sb.blocks.diag((0, 0)).shape[0]
     joint = np.block([[sb.blocks[(0, 0)], sb.blocks[(0, 1)]],
                       [sb.blocks[(1, 0)], sb.blocks[(1, 1)]]])
     return DensityOperator(joint, subsystem_dims=(2, dim_m))
@@ -192,13 +226,11 @@ def _zprod_diag(n_spins: int, subset) -> np.ndarray:
 
 
 def block_expectations(sb: SectorBlocks, subsets: Iterable[tuple] = ()) -> dict:
-    """Observables straight from the dense blocks: F, sx, sy, and correlators
+    """Observables straight from the block diagonals: F, sx, sy, and correlators
     of (s_x, s_y) with sigma_z products over the given magnet subsets."""
-    w_ud = sb.blocks[(0, 1)]
+    diag_ud = sb.blocks.diag((0, 1))
     r_ud = complex(sb.sector_weights[0, 1])
-    dim = w_ud.shape[0]
-    n_spins = dim.bit_length() - 1
-    diag_ud = np.diag(w_ud)
+    n_spins = diag_ud.shape[0].bit_length() - 1
     tr = complex(diag_ud.sum())
     # <s_a (x) O> picks the up-down block: 2 Re tr(W01 O) for s_x and
     # -2 Im tr(W01 O) for s_y (the conjugate block carries the other half)
@@ -228,19 +260,20 @@ def appendix_c_report(blocks: Iterable[SectorBlocks], deviation_tol: float = 1e-
             raise ValidationError(
                 "appendix_c_report needs a transverse initial component (r0 off-diagonal)"
             )
-        w = sb.blocks[(0, 1)]
-        dim = w.shape[0]
+        d = sb.blocks.diag((0, 1))
+        dim = d.shape[0]
         if n_spins is None:
             n_spins = dim.bit_length() - 1
             ks = [k for k in range(1, min(max_k, n_spins) + 1)]
             for k in ks:
                 corr[k] = []
         target = 1.0 / dim**2
-        off = w - np.diag(np.diag(w))
-        if not np.any(off):
-            gram_diag = (np.abs(np.diag(w)) / abs(r_ud)) ** 2
+        # a diagonal block's Gram matrix is |d|^2 on the diagonal
+        if sb.blocks.is_diagonal or not np.any(sb.blocks[(0, 1)] - np.diag(d)):
+            gram_diag = (np.abs(d) / abs(r_ud)) ** 2
             dev = float(np.max(np.abs(gram_diag - target)))
         else:
+            w = sb.blocks[(0, 1)]
             gram = (w @ w.conj().T) / abs(r_ud) ** 2
             dev = float(np.max(np.abs(gram - target * np.eye(dim))))
         exp = block_expectations(sb, subsets=[tuple(range(k)) for k in corr])

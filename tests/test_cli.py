@@ -1,9 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmeas import cli
+from qmeas import cli, equilibrium
+from qmeas.errors import ConvergenceError
 
 COMMANDS = ("truncate", "recur", "cascade", "register", "finalstate", "born",
             "reduce", "ambiguity", "dispersionless", "chsh", "feasible",
@@ -82,6 +85,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("qmeas: io:")
 
+    def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
+        def no_root(*args, **kwargs):
+            raise ConvergenceError("no root in bracket")
+
+        monkeypatch.setattr(equilibrium, "meanfield_magnetization", no_root)
+        code, _, err = run_cli(capsys, "register")
+        assert code == 3
+        assert err.startswith("qmeas: numerical:")
+
 
 class TestSelftests:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -89,6 +101,22 @@ class TestSelftests:
         code, out, err = run_cli(capsys, command, "--selftest")
         assert code == 0, err
         assert out.strip() == f"selftest {command}: PASS"
+
+    def test_selftests_use_no_bare_assert(self):
+        # python -O strips assert statements, which would turn every
+        # selftest into an unconditional PASS
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_selftest_"):
+                asserts = [n for n in ast.walk(fn) if isinstance(n, ast.Assert)]
+                assert not asserts, f"{fn.name} uses assert"
+
+    def test_failed_check_maps_to_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.contextuality, "chsh_value", lambda *a: 2.0)
+        code, out, err = run_cli(capsys, "chsh", "--selftest")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("selftest chsh: FAIL")
 
 
 class TestOutputs:

@@ -307,6 +307,43 @@ class TestPointerModel:
             eq.build_curie_weiss_pointer(11, 1.0, 0.5)
 
 
+def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
+    """Two-outcome pointer on a 4-level magnet with M_z = diag(3, 2, -2, -3)."""
+    if states is None:
+        states = (np.diag([0.5, 0.5, 0.0, 0.0]), np.diag([0.0, 0.0, 0.5, 0.5]))
+    states = tuple(DensityOperator(np.asarray(r, dtype=complex)) for r in states)
+    return eq.PointerModel(
+        pointer_obs=Observable(np.diag([3.0, 2.0, -2.0, -3.0]).astype(complex)),
+        outcomes=(2.5, -2.5),
+        window=1.6,
+        window_projectors=tuple(np.diag(np.asarray(p, dtype=complex)) for p in projs),
+        pointer_states=states,
+        sourced_states=states,
+        partition_consts=(1.0, 1.0),
+    )
+
+
+class TestPointerModelChecks:
+    def test_toy_pointer_is_valid(self):
+        pointer = toy_pointer()
+        assert pointer.window_projectors[0].shape == (4, 4)
+
+    def test_overlapping_windows_rejected(self):
+        with pytest.raises(ValidationError, match="orthogonal"):
+            toy_pointer(projs=((1, 1, 0, 0), (0, 1, 1, 1)))
+
+    def test_leaking_state_rejected(self):
+        leaky = np.diag([0.5, 0.4, 0.1, 0.0])
+        with pytest.raises(ValidationError, match="leaks"):
+            toy_pointer(states=(leaky, np.diag([0.0, 0.0, 0.5, 0.5])))
+
+    def test_non_diagonal_state_rejected(self):
+        coherent = np.diag([0.5, 0.5, 0.0, 0.0])
+        coherent[0, 1] = coherent[1, 0] = 0.1
+        with pytest.raises(ValidationError, match="diagonal"):
+            toy_pointer(states=(coherent, np.diag([0.0, 0.0, 0.5, 0.5])))
+
+
 class TestFinalJointState:
     def test_eigenstate_sector_passthrough(self):
         pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)

@@ -32,6 +32,23 @@ class TestSectorBlocks:
         assert np.allclose(sb.blocks[(1, 1)], 0.0, atol=0.0)
         assert np.trace(sb.blocks[(0, 0)]).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_diagonal_path_stores_vectors(self):
+        sb = oracle.sector_blocks_at(spread_model(5), 0.83)
+        assert sb.blocks.is_diagonal
+        d = sb.blocks.diag((0, 1))
+        assert d.shape == (2**5,)
+        assert np.array_equal(sb.blocks[(0, 1)], np.diag(d))
+
+    def test_broken_vector_pairing_rejected(self):
+        sb = oracle.sector_blocks_at(spread_model(4), 0.6)
+        stored = {key: sb.blocks.diag(key) for key in sb.blocks}
+        # W_10 must be the conjugate of W_01, not W_01 itself
+        stored[(1, 0)] = stored[(0, 1)]
+        with pytest.raises(ValidationError):
+            oracle.SectorBlocks(time=sb.time, projectors=sb.projectors,
+                                sector_weights=sb.sector_weights,
+                                blocks=oracle.BlockMap(stored, is_diagonal=True))
+
     def test_offdiag_trace_reproduces_analytic_factor(self):
         for n in (2, 6, 10):
             model = spread_model(n)
@@ -84,7 +101,7 @@ class TestReconstruction:
 class TestCrossValidation:
     def test_analytic_observables_match_dense(self):
         subsets = [(0,), (0, 1), (0, 1, 2)]
-        for n in (2, 4, 5, 10):
+        for n in (2, 4, 5, 10, 12):
             model = spread_model(n)
             times = np.linspace(0.0, 2.5, 40)
             res = cw.transverse_expectations(model, times)
