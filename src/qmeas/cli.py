@@ -16,14 +16,12 @@ import argparse
 import configparser
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, ambiguity, contextuality, curie_weiss, equilibrium, oracle, runs
+from . import __version__, ambiguity, contextuality, curie_weiss, equilibrium, kernels, oracle, runs
 from .errors import GuardError, QmeasError, SelftestError, ValidationError
 from .qstate import (
     DensityOperator,
@@ -83,17 +81,7 @@ class ExperimentConfig:
         return out
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("QMEAS_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValidationError("QMEAS_THREADS must be an integer") from exc
-        if cap < 1:
-            raise ValidationError("QMEAS_THREADS must be at least 1")
-        return cap
-    return min(8, os.cpu_count() or 1)
+_max_workers = kernels.max_workers
 
 
 def _parse_bloch(spec: str) -> tuple[float, float, float]:
@@ -241,21 +229,14 @@ def _selftest_truncate():
 
 
 def _cmd_recur(args) -> dict:
-    seeds = [args.seed + i for i in range(args.seeds)]
-
-    def run_one(seed):
+    if args.seeds < 1:
+        raise ValidationError("--seeds must be at least 1")
+    rows = []
+    # seeds run one after another: the kernel already threads each profile
+    for seed in range(args.seed, args.seed + args.seeds):
         model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed,
                                         bloch_state(_parse_bloch(args.r0)))
-        return seed, curie_weiss.recurrence_profile(model, args.nu_max)
-
-    if len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = list(pool.map(run_one, seeds))
-    else:
-        results = [run_one(seeds[0])]
-    rows = []
-    for seed, peaks in results:
-        for p in peaks:
+        for p in curie_weiss.recurrence_profile(model, args.nu_max):
             rows.append([seed, p.nu, p.time, p.measured, p.predicted])
     return {"columns": ["seed", "nu", "t_nu", "measured", "predicted"], "rows": rows}
 

@@ -498,6 +498,9 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
                 half = new_half
                 break
             half = new_half
+        else:
+            raise ConvergenceError(
+                f"pointer window: delta = 3 * q-stddev not converged in {max_iter} iterations")
     else:
         half = float(delta)
     projs, states = [], []

@@ -79,6 +79,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("qmeas: guard:")
 
+    def test_recur_without_seeds_maps_to_2(self, capsys):
+        code, _, err = run_cli(capsys, "recur", "--N", "100", "--seeds", "0")
+        assert code == 2
+        assert "--seeds" in err
+
+    def test_bad_thread_cap_maps_to_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMEAS_THREADS", "0")
+        code, _, err = run_cli(capsys, "truncate", "--N", "1000")
+        assert code == 2
+        assert "QMEAS_THREADS" in err
+
     def test_unwritable_output_maps_to_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "chsh", "--out",
                                str(tmp_path / "no" / "such" / "dir" / "x.json"))

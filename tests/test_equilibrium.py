@@ -306,6 +306,12 @@ class TestPointerModel:
         with pytest.raises(GuardError):
             eq.build_curie_weiss_pointer(11, 1.0, 0.5)
 
+    def test_window_fixed_point_reports_nonconvergence(self):
+        # the window fixed point settles in 3 iterations here, not in 1
+        eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True, max_iter=3)
+        with pytest.raises(ConvergenceError, match="pointer window"):
+            eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True, max_iter=1)
+
 
 def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
     """Two-outcome pointer on a 4-level magnet with M_z = diag(3, 2, -2, -3)."""
