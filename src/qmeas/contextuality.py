@@ -4,7 +4,7 @@ feasibility.
 Each correlator is an ordinary commuting-pair expectation; the CHSH value C
 assembles four of them.  Whether a single probability distribution over all
 four +/-1 observables could reproduce a correlator table is a 16-variable
-linear feasibility problem, solved here by a small phase-1 simplex; at zero
+linear feasibility problem, solved here by scipy's HiGHS LP solver; at zero
 marginals its answer coincides with the 8-inequality CHSH test and both are
 cross-validated against each other.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .qstate import PAULI, DensityOperator, Observable, pure_state, qexpect, tensor
 
 _BOUND_TOL = 1e-12
@@ -60,6 +60,8 @@ class CorrelatorTable:
         if ma.shape != (2,) or mb.shape != (2,):
             raise ValidationError("marginals must have two entries per side")
         for arr in (corr, ma, mb):
+            if not np.isfinite(arr).all():
+                raise ValidationError("correlators and marginals must be finite")
             if np.any(np.abs(arr) > 1.0 + _BOUND_TOL):
                 raise ValidationError("correlators and marginals must lie in [-1, 1]")
         corr.setflags(write=False)
@@ -178,55 +180,21 @@ def _feasibility_system(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]
     return np.asarray(rows), np.asarray(rhs)
 
 
-def _phase1_simplex(a_mat: np.ndarray, b_vec: np.ndarray, tol: float = 1e-9):
-    """Find x >= 0 with A x = b, or None; Bland's rule guarantees termination."""
-    m, n = a_mat.shape
-    a = a_mat.copy()
-    b = b_vec.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    # reduced costs for minimizing the artificial sum
-    tableau[m, :n] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-    pivot_eps = 1e-11
-    while True:
-        costs = tableau[m, :n + m]
-        entering = -1
-        for jdx in range(n + m):
-            if costs[jdx] < -pivot_eps:
-                entering = jdx
-                break
-        if entering < 0:
-            break
-        best_ratio, leaving = None, -1
-        for i in range(m):
-            coef = tableau[i, entering]
-            if coef > pivot_eps:
-                ratio = tableau[i, -1] / coef
-                if best_ratio is None or ratio < best_ratio - 1e-15 or (
-                        abs(ratio - best_ratio) <= 1e-15 and basis[i] < basis[leaving]):
-                    best_ratio, leaving = ratio, i
-        if leaving < 0:
-            raise ValidationError("phase-1 subproblem unbounded; inconsistent system")
-        piv = tableau[leaving, entering]
-        tableau[leaving] /= piv
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        basis[leaving] = entering
-    if tableau[m, -1] < -tol:
+def _nonnegative_solution(a_mat: np.ndarray, b_vec: np.ndarray, tol: float):
+    """Find x >= 0 with A x = b to within 10 tol, or None when there is none."""
+    from scipy.optimize import linprog  # deferred: about 0.2 s of import time
+
+    # HiGHS' default feasibility tolerance (1e-7) admits entries near -1e-8,
+    # which the residual check below would then reject; it refuses (with a
+    # warning) any value below 1e-10 and falls back to that default
+    feas_tol = max(tol / 10, 1e-10)
+    res = linprog(np.zeros(a_mat.shape[1]), A_eq=a_mat, b_eq=b_vec, bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": feas_tol})
+    if res.status == 2:
         return None
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tableau[i, -1]
-    x = np.clip(x, 0.0, None)
+    if res.status != 0:
+        raise ConvergenceError(f"joint-distribution LP: {res.message}")
+    x = np.clip(res.x, 0.0, None)
     if np.max(np.abs(a_mat @ x - b_vec)) > 10 * tol:
         return None
     return x
@@ -259,10 +227,10 @@ def joint_distribution_feasible(table: CorrelatorTable, tol: float = 1e-9) -> Fe
 
     At zero marginals the answer is equivalent to all 8 CHSH variants lying
     within [-2, 2]; that equivalence is asserted on every call as a
-    cross-check of the simplex against the inequality test.
+    cross-check of the LP against the inequality test.
     """
     a_mat, b_vec = _feasibility_system(table)
-    x = _phase1_simplex(a_mat, b_vec, tol=tol)
+    x = _nonnegative_solution(a_mat, b_vec, tol)
     variants = chsh_variants(table)
     worst_signs, worst_value = max(variants, key=lambda sv: abs(sv[1]))
     zero_marginals = not (np.any(table.marginals_a) or np.any(table.marginals_b))
@@ -270,7 +238,7 @@ def joint_distribution_feasible(table: CorrelatorTable, tol: float = 1e-9) -> Fe
         chsh_ok = abs(worst_value) <= 2.0 + tol
         if chsh_ok != (x is not None):
             raise ValidationError(
-                "internal cross-check failed: simplex and CHSH variants disagree "
+                "internal cross-check failed: LP and CHSH variants disagree "
                 "on a zero-marginal table")
     if x is not None:
         return FeasibilityResult(feasible=True,

@@ -9,14 +9,14 @@ states the dynamics relaxes to.  Temperatures are energies (k_B = 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .curie_weiss import DENSE_N_MAX
+from .curie_weiss import weighted_magnetization_diag
 from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError
-from .qstate import DensityOperator, Observable, qexpect
+from .qstate import DensityOperator, Observable, diagonal_or_none, qexpect
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
@@ -197,10 +197,9 @@ def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: f
             raise ValidationError("source dimension mismatch")
         total = total + source.matrix
     a_op = total / temperature
-    off = a_op - np.diag(np.diag(a_op))
-    if not np.any(off):
-        a = np.diag(a_op).real
-        p, logz = _gibbs_of_exponent(a)
+    d = diagonal_or_none(a_op)
+    if d is not None:
+        p, logz = _gibbs_of_exponent(d.real)
         if abs(logz) > _LOGZ_CAP:
             raise GuardError("partition function overflows double precision; rescale energies")
         state = DensityOperator(np.diag(p.astype(np.complex128)))
@@ -254,37 +253,28 @@ def free_energy_profile(j: float, t: float, field: float, m_grid) -> np.ndarray:
     m = np.asarray(m_grid, dtype=np.float64)
     if np.any(np.abs(m) > 1.0):
         raise ValidationError("magnetization grid must lie in [-1, 1]")
+    from scipy.special import xlogy  # deferred: about 0.3 s of import time
+
     p, q = (1.0 + m) / 2.0, (1.0 - m) / 2.0
     entropy = -(xlogy(p, p) + xlogy(q, q))
     return -0.5 * j * m**2 - field * m - t * entropy
 
 
-def _free_energy_minima_count(j: float, t: float, field: float) -> int:
-    # sign(F') = sign(m - tanh((J m + field)/T)); the tanh form is finite at
-    # m = +-1, so minima hugging the boundary (low T) are still seen
-    m = np.linspace(-1.0, 1.0, 40001)
-    r = m - np.tanh((j * m + field) / t)
-    s = np.where(r >= 0.0, 1, -1)
-    return int(np.count_nonzero((s[:-1] < 0) & (s[1:] > 0)))
-
-
-def g_threshold(j: float, t: float, tol: float = 1e-6) -> float:
+def g_threshold(j: float, t: float) -> float:
     """Minimal source field that leaves no metastable wrong-sign minimum in
-    the free-energy profile; 0 above T_C.  Bisection to tol."""
+    the free-energy profile; 0 at and above T_C = J.
+
+    Below T_C this is the mean-field spinodal h* = J s - T artanh(s) with
+    s = sqrt(1 - T/J), where the wrong-sign minimum merges with the barrier.
+    """
     if j <= 0 or t <= 0:
         raise ValidationError("J and T must be positive")
     if t >= j:
         return 0.0
-    lo, hi = 0.0, j
-    if _free_energy_minima_count(j, t, hi) != 1:
-        raise ConvergenceError("free-energy scan: no barrier-free field below J")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _free_energy_minima_count(j, t, mid) >= 2:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    s = math.sqrt(1.0 - t / j)
+    if s == 1.0:  # T/J below double resolution: h* = J to within 2e-15 J
+        return j
+    return j * s - t * math.atanh(s)
 
 
 @dataclass(frozen=True)
@@ -351,20 +341,9 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
         "finite-size failure of the weak-source limit, reporting the last value" % r)
 
 
-def magnet_count_diag(n_spins: int) -> np.ndarray:
-    """Eigenvalues of M_z = sum_n sigma_z^(n) over the 2^N basis."""
-    if n_spins > DENSE_N_MAX:
-        raise GuardError(f"dense magnet operators limited to N <= {DENSE_N_MAX}")
-    a = np.arange(2**n_spins)
-    m = np.zeros(2**n_spins)
-    for n in range(n_spins):
-        m += 1 - 2 * ((a >> n) & 1)
-    return m
-
-
 def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
     """Dense H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space."""
-    m = magnet_count_diag(n_spins)
+    m = weighted_magnetization_diag(np.ones(n_spins))
     h = -(j / (2.0 * n_spins)) * m**2
     return Observable(np.diag(h.astype(np.complex128))), Observable(np.diag(m.astype(np.complex128)))
 
@@ -381,6 +360,8 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
         raise ValidationError("need at least one spin")
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
+    from scipy.special import gammaln  # deferred: about 0.3 s of import time
+
     ks = np.arange(n_spins + 1)
     m = (n_spins - 2 * ks).astype(np.float64)
     log_deg = gammaln(n_spins + 1) - gammaln(ks + 1) - gammaln(n_spins - ks + 1)
@@ -390,9 +371,8 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
 
 def _diagonal_of(op, what: str) -> np.ndarray:
     """Diagonal of a square matrix that must have no off-diagonal entry."""
-    m = np.asarray(op)
-    d = np.diagonal(m)
-    if np.count_nonzero(m) != np.count_nonzero(d):
+    d = diagonal_or_none(np.asarray(op))
+    if d is None:
         raise ValidationError(f"{what} must be diagonal in the M_z basis")
     return d
 

@@ -24,7 +24,7 @@ from .curie_weiss import (
     weighted_magnetization_diag,
 )
 from .errors import GuardError, ValidationError
-from .qstate import DensityOperator
+from .qstate import DensityOperator, diagonal_or_none
 
 # refuse list-returning dense runs past ~1.5 GB of block storage
 _DENSE_BYTES_MAX = 1_500_000_000
@@ -142,9 +142,10 @@ class _Propagators:
         h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
         if h_m.shape != (dim, dim):
             raise ValidationError("magnet_hamiltonian dimension mismatch")
-        if not np.any(h_m - np.diag(np.diag(h_m))):
+        d = diagonal_or_none(h_m)
+        if d is not None:
             self.diagonal = True
-            self.k_diag = [np.diag(h_m).real + f for f in fields]
+            self.k_diag = [d.real + f for f in fields]
         else:
             self.diagonal = False
             self.eigs = []
@@ -269,7 +270,7 @@ def appendix_c_report(blocks: Iterable[SectorBlocks], deviation_tol: float = 1e-
                 corr[k] = []
         target = 1.0 / dim**2
         # a diagonal block's Gram matrix is |d|^2 on the diagonal
-        if sb.blocks.is_diagonal or not np.any(sb.blocks[(0, 1)] - np.diag(d)):
+        if sb.blocks.is_diagonal or diagonal_or_none(sb.blocks[(0, 1)]) is not None:
             gram_diag = (np.abs(d) / abs(r_ud)) ** 2
             dev = float(np.max(np.abs(gram_diag - target)))
         else:

@@ -30,19 +30,37 @@ def _as_complex_matrix(matrix, what: str) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has non-finite entries")
     return m
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> None:
-    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+def diagonal_or_none(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square matrix with no nonzero entry off it, else None.
+
+    Compares nonzero counts, so no dense temporary is built.
+    """
+    d = np.diagonal(m)
+    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
+
+
+def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray | None:
+    """Raise unless m is Hermitian; return its diagonal when m is diagonal."""
+    d = diagonal_or_none(m)
+    if d is not None:
+        # the entries of M - M^dag are 2i Im d on the diagonal and 0 elsewhere
+        dev = 2.0 * float(np.abs(d.imag).max(initial=0.0))
+    else:
+        dev = float(np.abs(m - m.conj().T).max())
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    return d
 
 
 def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending; cheap path for diagonal input."""
-    d = np.diagonal(m)
-    if not np.any(m - np.diag(d)):
+    d = diagonal_or_none(m)
+    if d is not None:
         return np.sort(d.real)
     return np.linalg.eigvalsh(m)
 
@@ -70,11 +88,11 @@ class DensityOperator:
         if any(d < 1 for d in dims) or int(np.prod(dims)) != dim:
             raise ValidationError(
                 f"subsystem_dims {dims} do not multiply to dim {dim}")
-        _check_hermitian(m, "density matrix")
+        d = _check_hermitian(m, "density matrix")
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL}")
-        min_eig = float(hermitian_eigvalsh(m)[0])
+        min_eig = float(d.real.min() if d is not None else np.linalg.eigvalsh(m)[0])
         if min_eig < PSD_MIN_EIG:
             raise ValidationError(
                 f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}")

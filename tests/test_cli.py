@@ -1,5 +1,7 @@
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,16 @@ class TestExitCodes:
                                str(tmp_path / "no" / "such" / "dir" / "x.json"))
         assert code == 2
         assert err.startswith("qmeas: io:")
+
+    @pytest.mark.parametrize("argv", [
+        ("dispersionless", "--populations=nan,0.5,0.5"),
+        ("feasible", "--correlators=nan,0,0,0"),
+    ])
+    def test_non_finite_input_maps_to_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "finite" in err
 
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
         def no_root(*args, **kwargs):
@@ -207,3 +219,19 @@ class TestOutputs:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("qmeas ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about 0.3 s to import; only the commands that solve load it
+    code = ("import sys\n"
+            "from qmeas import cli\n"
+            "try:\n"
+            "    cli.main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    version, loaded = out.stdout.splitlines()
+    assert version.startswith("qmeas ")
+    assert loaded == "[]"

@@ -1,9 +1,29 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from qmeas import contextuality as ctx
-from qmeas.errors import ValidationError
+from qmeas.errors import ConvergenceError, ValidationError
 from qmeas.qstate import bloch_state, tensor
+
+# outcome signs (sa0, sa1, sb0, sb1) of the 16 joint cells, index 0 -> +1
+_SIGNS = np.array([1.0, -1.0])[np.array(list(itertools.product((0, 1), repeat=4)))]
+
+
+def _moments(q):
+    """Correlators and marginals of a distribution over the 16 cells."""
+    sa, sb = _SIGNS[:, :2], _SIGNS[:, 2:]
+    return np.einsum("k,ki,kj->ij", q, sa, sb), q @ sa, q @ sb
+
+
+def _assert_reproduces(distribution, corr, ma, mb):
+    q = distribution.ravel()
+    assert q.min() >= -1e-12
+    assert abs(q.sum() - 1.0) <= 1e-9
+    for got, want in zip(_moments(q), (corr, ma, mb)):
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def random_axis(rng):
@@ -175,6 +195,84 @@ class TestFeasibility:
         assert res.witness.detail["second_axis"] == 0
         assert res.witness.detail["first_sign"] == -1
         assert res.witness.detail["second_sign"] == -1
+
+    def test_pinned_table_is_feasible(self):
+        # moments of a strictly positive joint; at HiGHS' default feasibility
+        # tolerance (1e-7) the LP returned an entry of -1.1e-8 and the call
+        # raised for want of a witness
+        corr = np.array([[-0.451917657447296, 0.1253192321045533],
+                         [-0.14012006189081957, 0.43709122600856243]])
+        ma = np.array([-0.12530641049228353, -0.43710404991622376])
+        mb = np.array([-0.422774384657617, -0.9999870116425157])
+        res = ctx.joint_distribution_feasible(ctx.CorrelatorTable(corr, ma, mb))
+        assert res.feasible
+        _assert_reproduces(res.distribution, corr, ma, mb)
+
+    def test_sparse_dirichlet_tables_are_feasible(self, rng):
+        # small concentrations put most cells near zero and some marginals near +-1
+        for alpha in (1.0, 0.1, 0.02):
+            for _ in range(100):
+                corr, ma, mb = _moments(rng.dirichlet(np.full(16, alpha)))
+                corr, ma, mb = (np.clip(v, -1.0, 1.0) for v in (corr, ma, mb))
+                res = ctx.joint_distribution_feasible(ctx.CorrelatorTable(corr, ma, mb))
+                assert res.feasible
+                _assert_reproduces(res.distribution, corr, ma, mb)
+
+    def test_facets_decide_tables_with_marginals(self, rng):
+        # the local polytope of two +/-1 observables per side has 24 facets:
+        # the 8 CHSH variants and the 16 pair cells q(sa, sb) >= 0
+        decided = 0
+        for _ in range(500):
+            table = ctx.CorrelatorTable(rng.uniform(-1.0, 1.0, size=(2, 2)),
+                                        rng.uniform(-1.0, 1.0, size=2),
+                                        rng.uniform(-1.0, 1.0, size=2))
+            chsh = max(abs(v) for _, v in ctx.chsh_variants(table))
+            cell = min(0.25 * (1.0 + sa * table.marginals_a[i] + sb * table.marginals_b[j]
+                               + sa * sb * table.correlators[i, j])
+                       for i in range(2) for j in range(2) for sa in (1, -1) for sb in (1, -1))
+            margin = min(2.0 - chsh, cell)
+            if abs(margin) < 1e-7:
+                continue
+            decided += 1
+            res = ctx.joint_distribution_feasible(table)
+            assert res.feasible == (margin > 0)
+            if res.feasible:
+                _assert_reproduces(res.distribution, table.correlators,
+                                   table.marginals_a, table.marginals_b)
+            elif chsh > 2.0:
+                assert res.witness.kind == "chsh"
+                assert res.witness.value == pytest.approx(chsh, abs=1e-12)
+            else:
+                assert res.witness.kind == "pair_negativity"
+                assert res.witness.value == pytest.approx(cell, abs=1e-12)
+        assert decided >= 495
+
+    def test_lp_failure_is_not_a_verdict(self, monkeypatch):
+        import scipy.optimize
+
+        def stalled(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, x=None,
+                                                 message="numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        with pytest.raises(ConvergenceError, match="numerical difficulties"):
+            ctx.joint_distribution_feasible(ctx.CorrelatorTable(np.zeros((2, 2))))
+
+    def test_tight_tolerance_stays_within_highs_range(self):
+        table = ctx.CorrelatorTable(np.full((2, 2), 0.3), np.array([0.1, 0.0]),
+                                    np.array([0.0, -0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ctx.joint_distribution_feasible(table, tol=1e-12)
+        assert res.feasible
+        _assert_reproduces(res.distribution, table.correlators,
+                           table.marginals_a, table.marginals_b)
+
+    def test_non_finite_table_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ctx.CorrelatorTable(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            ctx.CorrelatorTable(np.zeros((2, 2)), np.array([0.0, np.inf]))
 
     def test_table_bounds_enforced(self):
         with pytest.raises(ValidationError):

@@ -204,6 +204,11 @@ class TestFreeEnergyAndThreshold:
         h_star = j * m_b - (t / 2) * np.log((1 + m_b) / (1 - m_b))
         assert eq.g_threshold(j, t) == pytest.approx(h_star, abs=2e-6)
 
+    def test_threshold_finite_at_low_temperature(self):
+        # s = sqrt(1 - T/J) rounds to 1 below T/J ~ 1e-16, where h* tends to J
+        for t in (1e-300, 1e-17, 1e-15):
+            assert eq.g_threshold(2.0, t) == pytest.approx(2.0, rel=1e-13)
+
     def test_threshold_monotone_in_temperature(self):
         thresholds = [eq.g_threshold(1.0, t) for t in np.linspace(0.1, 0.9, 10)]
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas.errors import ValidationError
 from qmeas.qstate import (
+    HERMITIAN_TOL,
+    PSD_MIN_EIG,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -10,13 +14,16 @@ from qmeas.qstate import (
     Observable,
     bloch_state,
     bloch_vector,
+    diagonal_or_none,
     evolve_unitary,
+    hermitian_eigvalsh,
     maximally_mixed,
     merge,
     partial_trace,
     pure_state,
     qexpect,
     tensor,
+    TRACE_TOL,
     trace_distance,
     vn_entropy,
 )
@@ -161,3 +168,66 @@ def test_bloch_roundtrip_cardinal_points():
 def test_bloch_vector_norm_guard():
     with pytest.raises(ValidationError):
         bloch_state((0.8, 0.8, 0.8))
+
+
+class TestDiagonalPath:
+    def test_diagonal_or_none(self):
+        m = np.diag([0.5, 0.0, 0.5 + 1e-13j])
+        d = diagonal_or_none(m)
+        assert np.array_equal(d, [0.5, 0.0, 0.5 + 1e-13j])
+        assert np.array_equal(diagonal_or_none(np.zeros((3, 3))), np.zeros(3))
+        m[2, 0] = 1e-300
+        assert diagonal_or_none(m) is None
+        m[2, 0] = 1e-300j
+        assert diagonal_or_none(m) is None
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityOperator(np.diag([bad, 0.5, 0.5]))
+            with pytest.raises(ValidationError, match="non-finite"):
+                Observable(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def _dense_verdict(m, state: bool):
+    """The error the checks give when written on the full matrix, or None."""
+    dev = float(np.abs(m - m.conj().T).max())
+    what = "density matrix" if state else "observable"
+    if dev > HERMITIAN_TOL:
+        return f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}"
+    if not state:
+        return None
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        return f"trace {tr} differs from 1 beyond {TRACE_TOL}"
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if min_eig < PSD_MIN_EIG:
+        return f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}"
+    return None
+
+
+def _verdict(cls, m):
+    try:
+        cls(m)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+_real_part = st.just(0.0) | st.floats(-0.05, 1.0) | st.floats(-1e-9, 1e-9)
+_imag_part = st.sampled_from([0.0, 1e-14, -4e-13, 5e-13, 6e-13, -1e-12, 2e-11])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_real_part, _imag_part), min_size=1, max_size=8), st.booleans())
+def test_property_diagonal_checks_match_dense(entries, normalize):
+    re = np.array([e[0] for e in entries])
+    if normalize and re.sum() > 0:
+        re = re / re.sum()
+    m = np.diag(re + 1j * np.array([e[1] for e in entries]))
+    with np.errstate(all="raise"):
+        assert _verdict(DensityOperator, m) == _dense_verdict(m, state=True)
+        assert _verdict(Observable, m) == _dense_verdict(m, state=False)
+        fast, dense = hermitian_eigvalsh(m), np.linalg.eigvalsh(m)
+    # LAPACK rescales a matrix of tiny norm, which can move eigenvalues by an ulp
+    np.testing.assert_allclose(fast, dense, rtol=4 * np.finfo(float).eps, atol=0.0)
