@@ -226,6 +226,12 @@ def _selftest_truncate():
     # cos(pi/2) is ~6e-17 in floats, so the 6-factor product is ~5e-98
     _check(abs(curie_weiss.offdiag_factor(m, np.pi / 4.0)) < 1e-80,
            "F at cos(pi/2) must vanish to rounding")
+    # small angles take the power-sum series; pi/4 above takes the kernel
+    spread = curie_weiss.build_model(1000, 1.0, 0.05, 0)
+    ts = np.array([0.1, 0.5, 1.0, 2.0]) * curie_weiss.truncation_time(spread)
+    direct = kernels.trig_product_direct(2.0 * spread.couplings, ts)
+    _check(np.max(np.abs(curie_weiss.offdiag_factor(spread, ts) / direct - 1.0)) <= 1e-12,
+           "the small-angle series for F must match the direct product to 1e-12")
 
 
 def _cmd_recur(args) -> dict:

@@ -6,6 +6,17 @@ the magnet stays paramagnetic while the tested spin's off-diagonal sector is
 multiplied by the real factor F(t) = prod_n cos(2 g_n t).  Everything here is
 closed-form; the dense oracle in qmeas.oracle cross-checks it for small N.
 
+Products of cosines take one of two paths per time point.  Where every angle
+x_n = c_n t is small, log F = sum_k a_k sum_n x_n^(2k) is summed to K terms
+from power sums of the couplings, computed once per call (O(N K)), so each
+such point costs O(K); its k = 1 term is the Gaussian envelope
+exp(-(t/tau)^2 (1 + delta^2)).  With x_max = |t| max_n |c_n| and
+q = (2 x_max / pi)^2, the terms past K add at most
+N (pi^2/6) q^(K+1) / ((K+1)(1-q)) to |log F| (from |B_2k| =
+2 (2k)! zeta(2k) / (2 pi)^(2k)); the series serves a point only where that
+bound is at most _SERIES_TOL.  Every other point (recurrences, wide grids at
+small N) goes to the log-domain kernel, qmeas.kernels.trig_product.
+
 Units: hbar = 1, couplings are energies, times are inverse energies.
 """
 from __future__ import annotations
@@ -24,6 +35,17 @@ ANALYTIC_N_MAX = 10**7
 
 # largest N for dense 2^N materializations
 DENSE_N_MAX = 12
+
+# a_k of log cos x = sum_k a_k x^(2k), k = 1..K:
+# a_k = (-1)^k 2^(2k-1) (2^(2k)-1) B_2k / (k (2k)!)
+_LOGCOS = (-1 / 2, -1 / 12, -1 / 45, -17 / 2520, -31 / 14175, -691 / 935550,
+           -10922 / 42567525, -929569 / 10216206000)
+_SERIES_K = len(_LOGCOS)
+# largest tail bound on |log F| (an absolute error in log F, hence a relative
+# error in F) at which a time point takes the series; below rounding
+_SERIES_TOL = 1e-16
+# couplings per power-sum block: a few cache-resident buffers, not N-sized ones
+_POWER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -130,13 +152,74 @@ def truncation_time(model: CurieWeissModel) -> float:
     return 1.0 / (model.g * np.sqrt(2.0 * model.N))
 
 
-def offdiag_factor(model: CurieWeissModel, times):
-    """F(t) = prod_n cos(2 g_n t), evaluated in the log-magnitude + sign domain.
+def _series_radius(n: int) -> float:
+    """Largest x_max at which the K-term series meets _SERIES_TOL for n factors.
 
+    q0 = (tol (K+1) 6 / (pi^2 n))^(1/(K+1)) solves the bound without its
+    1/(1-q) factor; q0 (1-q0)^(1/(K+1)) lies below the exact root, where the
+    bound is tol (1-q0)/(1-q) <= tol.
+    """
+    e = 1.0 / (_SERIES_K + 1)
+    q0 = (_SERIES_TOL * (_SERIES_K + 1) * 6.0 / (np.pi**2 * n)) ** e
+    return 0.5 * np.pi * np.sqrt(q0 * (1.0 - q0) ** e)
+
+
+def _power_sums(c: np.ndarray, scale: float) -> np.ndarray:
+    """S_k = sum_n (c_n/scale)^(2k) for k = 1..K, by cache-sized blocks."""
+    s = np.zeros(_SERIES_K)
+    # with scale = max|c| every term is at most 1; terms of far smaller
+    # couplings may underflow to 0, which changes no sum
+    with np.errstate(under="ignore"):
+        for lo in range(0, c.size, _POWER_BLOCK):
+            r = c[lo:lo + _POWER_BLOCK] / scale
+            r *= r
+            p = r.copy()
+            for k in range(_SERIES_K):
+                s[k] += p.sum()
+                p *= r
+    return s
+
+
+def _cos_product(c: np.ndarray, times) -> np.ndarray:
+    """prod_n cos(c_n t) per time: the series inside its radius, the kernel past it.
+
+    Inside the radius log F = sum_k a_k S_k u^k with u = (t max|c|)^2, every
+    term is <= 0, so F is in [0, 1], F(0) = 1 exactly and F(-t) == F(t) bit
+    for bit.  The empty product is 1.
+    """
+    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if t.ndim != 1:
+        raise ValidationError("times must be scalar or one-dimensional")
+    if c.size == 0:
+        return np.ones(t.size)
+    cmax = float(np.max(np.abs(c)))
+    near = np.abs(t) <= _series_radius(c.size) / cmax
+    out = np.empty(t.size)
+    if near.any():
+        s = _power_sums(c, cmax) * _LOGCOS
+        # t^2, the Horner steps and exp underflow harmlessly for tiny t
+        # and deep decay: to 0 in u and log F, to a subnormal or 0 in F
+        with np.errstate(under="ignore"):
+            u = np.square(t[near] * cmax)
+            log_f = 0.0
+            for sk in s[::-1]:
+                log_f = (log_f + sk) * u
+            out[near] = np.exp(log_f)
+    if not near.all():
+        out[~near] = kernels.trig_product(c, t[~near])
+    return out
+
+
+def offdiag_factor(model: CurieWeissModel, times):
+    """F(t) = prod_n cos(2 g_n t).
+
+    Time points within the series radius take the power-sum series for
+    log F, to K = 8 terms with a tail bound of at most 1e-16 on |log F|; the
+    rest go to the log-magnitude + sign kernel (see the module docstring).
     Scalar in, float out; array in, array out.  The value is exactly real.
     """
     scalar = np.ndim(times) == 0
-    out = kernels.trig_product(2.0 * model.couplings, times)
+    out = _cos_product(2.0 * model.couplings, times)
     return float(out[0]) if scalar else out
 
 
@@ -190,8 +273,11 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
 
     Both equal a common envelope prod_{n in K} sin(2 g_n t) * prod_{n not in K}
     cos(2 g_n t) times initial-state coefficients that cycle with k mod 4
-    (phase convention fixed against the dense oracle).  Returns (with_sx,
-    with_sy); scalars for scalar t.
+    (phase convention fixed against the dense oracle).  The k sin factors go
+    to the kernel (O(k) per time point); the cos product over the N - k
+    other couplings takes the power-sum series within its radius and the
+    kernel past it, as in offdiag_factor.  Returns (with_sx, with_sy);
+    scalars for scalar t.
     """
     k = int(k)
     if not 1 <= k <= model.N:
@@ -206,7 +292,12 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     mask = np.zeros(model.N, dtype=bool)
     mask[idx] = True
     scalar = np.ndim(times) == 0
-    env = kernels.trig_product(2.0 * model.couplings, times, sin_mask=mask)
+    c = 2.0 * model.couplings
+    cosines = _cos_product(c[~mask], times)
+    # tiny t gives subnormal sin factors, and two deep factors may multiply
+    # to a subnormal or 0: underflow here is rounding, not an error
+    with np.errstate(under="ignore"):
+        env = kernels.trig_product(c[mask], times, sin_mask=np.ones(k, dtype=bool)) * cosines
     cx, cy = _cascade_coefficients(model.r0, k)
     corr_x, corr_y = cx * env, cy * env
     if scalar:

@@ -212,6 +212,17 @@ def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: f
     return DensityOperator(0.5 * (dmat + dmat.conj().T)), float(np.exp(logz))
 
 
+def _check_jt(j: float, t: float) -> None:
+    # NaN fails every comparison and inf passes "> 0": test finiteness first
+    if not (math.isfinite(j) and math.isfinite(t)) or j <= 0 or t <= 0:
+        raise ValidationError("J and T must be finite and positive")
+
+
+def _check_field(field: float) -> None:
+    if not math.isfinite(field):
+        raise ValidationError("field must be finite")
+
+
 def _mf_residual(m: float, j: float, t: float, field: float) -> float:
     return m - np.tanh((j * m + field) / t)
 
@@ -222,8 +233,8 @@ def meanfield_magnetization(j: float, t: float, field: float = 0.0):
     field = 0 below T_C = J returns the symmetric pair (-m_F, +m_F); any
     other case returns the single stable branch whose sign matches the field.
     """
-    if j <= 0 or t <= 0:
-        raise ValidationError("J and T must be positive")
+    _check_jt(j, t)
+    _check_field(field)
     if field == 0.0:
         if t >= j:
             return 0.0
@@ -248,8 +259,8 @@ def meanfield_magnetization(j: float, t: float, field: float = 0.0):
 def free_energy_profile(j: float, t: float, field: float, m_grid) -> np.ndarray:
     """Per-spin free energy F(m) = -J m^2/2 - field m - T s(m), s the binary
     mixing entropy; defined on the closed interval [-1, 1]."""
-    if j <= 0 or t <= 0:
-        raise ValidationError("J and T must be positive")
+    _check_jt(j, t)
+    _check_field(field)
     m = np.asarray(m_grid, dtype=np.float64)
     if np.any(np.abs(m) > 1.0):
         raise ValidationError("magnetization grid must lie in [-1, 1]")
@@ -267,8 +278,7 @@ def g_threshold(j: float, t: float) -> float:
     Below T_C this is the mean-field spinodal h* = J s - T artanh(s) with
     s = sqrt(1 - T/J), where the wrong-sign minimum merges with the barrier.
     """
-    if j <= 0 or t <= 0:
-        raise ValidationError("J and T must be positive")
+    _check_jt(j, t)
     if t >= j:
         return 0.0
     s = math.sqrt(1.0 - t / j)
@@ -358,13 +368,17 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
     """
     if n_spins < 1:
         raise ValidationError("need at least one spin")
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    from scipy.special import gammaln  # deferred: about 0.3 s of import time
-
-    ks = np.arange(n_spins + 1)
-    m = (n_spins - 2 * ks).astype(np.float64)
-    log_deg = gammaln(n_spins + 1) - gammaln(ks + 1) - gammaln(n_spins - ks + 1)
+    if not math.isfinite(j):
+        raise ValidationError("J must be finite")
+    if not math.isfinite(temperature) or temperature <= 0:
+        raise ValidationError("temperature must be finite and positive")
+    # ln C(N, k) for k <= N/2, mirrored so that sectors k and N-k (M and -M)
+    # get bit-identical energies
+    lg_n = math.lgamma(n_spins + 1)
+    half = [lg_n - math.lgamma(k + 1) - math.lgamma(n_spins - k + 1)
+            for k in range(n_spins // 2 + 1)]
+    log_deg = np.array(half + half[:n_spins - n_spins // 2][::-1])
+    m = (n_spins - 2 * np.arange(n_spins + 1)).astype(np.float64)
     h = -(j / (2.0 * n_spins)) * m**2 - temperature * log_deg
     return Observable(np.diag(h.astype(np.complex128))), Observable(np.diag(m.astype(np.complex128)))
 

@@ -108,6 +108,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qmeas: config:") and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("register", "--T", "nan"),
+        ("register", "--J", "inf"),
+        ("register", "--field=-inf"),
+    ])
+    def test_non_finite_register_input_maps_to_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "finite" in err
+
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
         def no_root(*args, **kwargs):
             raise ConvergenceError("no root in bracket")

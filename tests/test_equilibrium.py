@@ -380,3 +380,50 @@ class TestFinalJointState:
         marginal = partial_trace(joint, [0])
         pinched = sum(p @ r0.matrix @ p for p in tested.projectors)
         assert np.max(np.abs(marginal.matrix - pinched)) <= 1e-12
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("j, t", [(np.nan, 0.8), (1.0, np.nan), (np.inf, 0.8),
+                                      (1.0, np.inf), (-np.inf, 0.8)])
+    def test_non_finite_j_or_t_rejected(self, j, t):
+        for call in (lambda: eq.meanfield_magnetization(j, t),
+                     lambda: eq.g_threshold(j, t),
+                     lambda: eq.free_energy_profile(j, t, 0.0, [0.0, 0.5])):
+            with pytest.raises(ValidationError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("field", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field):
+        with pytest.raises(ValidationError, match="finite"):
+            eq.meanfield_magnetization(1.0, 0.8, field)
+        with pytest.raises(ValidationError, match="finite"):
+            eq.free_energy_profile(1.0, 0.8, field, [0.0, 0.5])
+
+    @pytest.mark.parametrize("j, t", [(np.nan, 0.8), (np.inf, 0.8), (1.0, np.nan),
+                                      (1.0, np.inf)])
+    def test_reduced_operators_reject_non_finite(self, j, t):
+        with pytest.raises(ValidationError, match="finite"):
+            eq.reduced_magnet_operators(10, j, t)
+
+
+class TestReducedMirrorSymmetry:
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 201])
+    def test_spectrum_is_symmetric_under_m_to_minus_m(self, n):
+        h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.8)
+        h = np.diag(h_m.matrix).real
+        m = np.diag(m_obs.matrix).real
+        assert np.array_equal(h, h[::-1])
+        assert np.array_equal(m, -m[::-1])
+
+    def test_log_degeneracy_is_ln_binomial(self):
+        from math import comb, log
+
+        n, t = 60, 0.8
+        h_m, _ = eq.reduced_magnet_operators(n, 0.0, t)
+        want = [-t * log(comb(n, k)) for k in range(n + 1)]
+        assert np.allclose(np.diag(h_m.matrix).real, want, rtol=1e-13, atol=1e-13)
+
+    def test_opposite_sources_give_equal_partition_constants(self):
+        pointer = eq.build_curie_weiss_pointer(200, 1.0, 0.5, reduced=True)
+        z_plus, z_minus = pointer.partition_consts
+        assert z_plus == z_minus
