@@ -288,7 +288,7 @@ def _cmd_register(args) -> dict:
     if args.N:
         h_m, m_obs = equilibrium.reduced_magnet_operators(args.N, args.J, args.T)
         scales = _parse_floats(args.scales, name="scales")
-        src = Observable(-np.asarray(m_obs.matrix))
+        src = Observable(diagonal=-m_obs.diagonal)
         lim = equilibrium.pointer_limit(h_m, src, args.T, scales, m_obs)
         out["pointer_limit"] = {
             "scales": list(lim.scales),
@@ -325,7 +325,7 @@ def _cmd_finalstate(args) -> dict:
         "window": pointer.window,
         "entropy": vn_entropy(joint),
         "partition_consts": list(pointer.partition_consts),
-        "magnet_dim": pointer.pointer_states[0].matrix.shape[0],
+        "magnet_dim": pointer.pointer_states[0].dim,
     }
 
 
@@ -339,6 +339,17 @@ def _selftest_finalstate():
            "an s_z eigenstate must pass into its own pointer state")
     p = runs.born_weights(bloch_state((1, 0, 0)), tested)
     _check(np.allclose(p, [0.5, 0.5], atol=1e-15), "+x must split 1/2, 1/2")
+    full = equilibrium.build_curie_weiss_pointer(8, 1.0, 0.5)
+    _check(abs(full.window - pointer.window) <= 1e-9 * pointer.window
+           and np.allclose(full.outcomes, pointer.outcomes, rtol=1e-12, atol=0.0)
+           and abs(full.partition_consts[0] / pointer.partition_consts[0] - 1.0) <= 1e-12,
+           "the full 2^N pointer must agree with the (N+1)-sector one")
+    # M_z marginal of the full pointer state: sum its diagonal over each sector
+    full_m = full.pointer_obs.diagonal
+    red_m = pointer.pointer_obs.diagonal
+    marginal = [full.pointer_states[0].diagonal[full_m == m].sum() for m in red_m]
+    _check(np.allclose(marginal, pointer.pointer_states[0].diagonal, rtol=0.0, atol=1e-13),
+           "the full pointer's M_z marginal must be the reduced pointer state")
 
 
 def _cmd_born(args) -> dict:

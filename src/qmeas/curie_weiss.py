@@ -231,9 +231,9 @@ def transverse_expectations(model: CurieWeissModel, times) -> TruncationResult:
     f = offdiag_factor(model, t)
     sx0 = qexpect(model.r0, Observable(SIGMA_X))
     sy0 = qexpect(model.r0, Observable(SIGMA_Y))
-    return TruncationResult(
-        times=t, sx=sx0 * f, sy=sy0 * f, tau=truncation_time(model), sx0=sx0
-    )
+    with np.errstate(under="ignore"):  # F near the subnormal range
+        sx, sy = sx0 * f, sy0 * f
+    return TruncationResult(times=t, sx=sx, sy=sy, tau=truncation_time(model), sx0=sx0)
 
 
 def recurrence_profile(model: CurieWeissModel, nu_max: int) -> list[RecurrencePeak]:
@@ -294,12 +294,13 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     scalar = np.ndim(times) == 0
     c = 2.0 * model.couplings
     cosines = _cos_product(c[~mask], times)
-    # tiny t gives subnormal sin factors, and two deep factors may multiply
-    # to a subnormal or 0: underflow here is rounding, not an error
+    cx, cy = _cascade_coefficients(model.r0, k)
+    # tiny t gives subnormal sin factors, and two deep factors (or a deep
+    # envelope and a coefficient below 1) may multiply to a subnormal or 0:
+    # underflow here is rounding, not an error
     with np.errstate(under="ignore"):
         env = kernels.trig_product(c[mask], times, sin_mask=np.ones(k, dtype=bool)) * cosines
-    cx, cy = _cascade_coefficients(model.r0, k)
-    corr_x, corr_y = cx * env, cy * env
+        corr_x, corr_y = cx * env, cy * env
     if scalar:
         return float(corr_x[0]), float(corr_y[0])
     return corr_x, corr_y
@@ -308,12 +309,11 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
 def weighted_magnetization_diag(couplings) -> np.ndarray:
     """Eigenvalues of sum_n g_n sigma_z^(n) over the 2^N computational basis.
 
-    Bit n of the basis index is 0 where sigma_z^(n) = +1.
+    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N:
+    the dense oracle by DENSE_N_MAX, the full pointer by its byte guard.
     """
     c = np.asarray(couplings, dtype=np.float64)
     N = c.size
-    if N > DENSE_N_MAX:
-        raise GuardError(f"dense path limited to N <= {DENSE_N_MAX}")
     a = np.arange(2**N)
     m = np.zeros(2**N)
     for n in range(N):

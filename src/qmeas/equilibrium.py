@@ -10,6 +10,7 @@ states the dynamics relaxes to.  Temperatures are energies (k_B = 1).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ from .qstate import DensityOperator, Observable, diagonal_or_none, qexpect
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
 _LOGZ_CAP = 700.0
+# refuse full 2^N pointers whose vectors would pass ~1 GB (N = 23 and up)
+_FULL_BYTES_MAX = 1_000_000_000
+# float64 2^N vectors alive at the peak: 13.3 in the pointer build, 15 with
+# its s_z joint state and entropy (tracemalloc, N = 16..20)
+_FULL_VECTORS = 16
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,9 @@ class ConstraintSet:
                 raise ValidationError("temperature must be positive")
             if self.hamiltonian is None:
                 raise ValidationError("fixed-beta mode needs a hamiltonian")
-        dims = {o.matrix.shape[0] for o in obs}
+        dims = {o.dim for o in obs}
         if self.hamiltonian is not None:
-            dims.add(self.hamiltonian.matrix.shape[0])
+            dims.add(self.hamiltonian.dim)
         if self.dim is not None:
             dims.add(int(self.dim))
         if len(dims) > 1:
@@ -188,26 +194,33 @@ def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
 
 def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: float
                       ) -> tuple[DensityOperator, float]:
-    """Gibbs state of H_M + source at temperature T, with its partition sum."""
+    """Gibbs state of H_M + source at temperature T, with its partition sum.
+
+    When both operators are diagonal the state is built and stored as its
+    diagonal; otherwise it is a dense matrix from the spectral decomposition.
+    """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    total = np.asarray(h_m.matrix, dtype=np.complex128)
-    if source is not None:
-        if source.matrix.shape != total.shape:
-            raise ValidationError("source dimension mismatch")
-        total = total + source.matrix
-    a_op = total / temperature
-    d = diagonal_or_none(a_op)
-    if d is not None:
-        p, logz = _gibbs_of_exponent(d.real)
-        if abs(logz) > _LOGZ_CAP:
-            raise GuardError("partition function overflows double precision; rescale energies")
-        state = DensityOperator(np.diag(p.astype(np.complex128)))
-        return state, float(np.exp(logz))
-    a, v = np.linalg.eigh(a_op)
-    p, logz = _gibbs_of_exponent(a)
+    if source is not None and source.dim != h_m.dim:
+        raise ValidationError("source dimension mismatch")
+    d_h = diagonal_or_none(h_m)
+    d_s = None if source is None else diagonal_or_none(source)
+    if d_h is not None and (source is None or d_s is not None):
+        total = d_h.real if source is None else d_h.real + d_s.real
+        # times 1/T: numpy divides a complex array by T that way, so a
+        # diagonal given densely or as a vector gives the same bits
+        p, logz = _gibbs_of_exponent(total * (1.0 / temperature))
+        v = None
+    else:
+        total = np.asarray(h_m.matrix, dtype=np.complex128)
+        if source is not None:
+            total = total + source.matrix
+        a, v = np.linalg.eigh(total / temperature)
+        p, logz = _gibbs_of_exponent(a)
     if abs(logz) > _LOGZ_CAP:
         raise GuardError("partition function overflows double precision; rescale energies")
+    if v is None:
+        return DensityOperator(diagonal=p), float(np.exp(logz))
     dmat = (v * p) @ v.conj().T
     return DensityOperator(0.5 * (dmat + dmat.conj().T)), float(np.exp(logz))
 
@@ -223,8 +236,41 @@ def _check_field(field: float) -> None:
         raise ValidationError("field must be finite")
 
 
+_MF_XTOL = 1e-15
+_MF_MAX_STEPS = 200
+
+
 def _mf_residual(m: float, j: float, t: float, field: float) -> float:
     return m - np.tanh((j * m + field) / t)
+
+
+def _mf_root(lo: float, j: float, t: float, field: float) -> float:
+    """Root of the residual m - tanh((J m + field)/T) in [lo, 1], where it
+    rises from negative to non-negative.
+
+    Newton from m = 1: the residual is convex there (J m + field >= 0), so
+    the steps fall monotonically onto the root; a step that leaves the
+    bracket, or a non-positive slope, is replaced by bisection.  Stops once a
+    step moves m by at most 1e-15.
+    """
+    hi = m = 1.0
+    for _ in range(_MF_MAX_STEPS):
+        th = float(np.tanh((j * m + field) / t))
+        f = m - th
+        if f == 0.0:
+            return m
+        if f < 0.0:
+            lo = m
+        else:
+            hi = m
+        slope = 1.0 - (j / t) * (1.0 - th * th)
+        new = m - f / slope if slope > 0.0 else lo  # lo fails the bracket test
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - m) <= _MF_XTOL:
+            return new
+        m = new
+    raise ConvergenceError(f"mean-field root not found in {_MF_MAX_STEPS} steps")
 
 
 def meanfield_magnetization(j: float, t: float, field: float = 0.0):
@@ -241,16 +287,12 @@ def meanfield_magnetization(j: float, t: float, field: float = 0.0):
         lo = 1e-8
         if _mf_residual(lo, j, t, 0.0) >= 0.0:
             return (0.0, 0.0)
-        from scipy.optimize import brentq  # deferred: about 0.4 s of import time
-
-        m = brentq(_mf_residual, lo, 1.0, args=(j, t, 0.0), xtol=1e-15, rtol=8.9e-16)
+        m = _mf_root(lo, j, t, 0.0)
         if abs(_mf_residual(m, j, t, 0.0)) > 1e-12:
             raise ConvergenceError("mean-field fixed point not satisfied to 1e-12")
         return (-m, m)
-    from scipy.optimize import brentq
-
     sign = 1.0 if field > 0 else -1.0
-    m = brentq(_mf_residual, 0.0, 1.0, args=(j, t, abs(field)), xtol=1e-15, rtol=8.9e-16)
+    m = _mf_root(0.0, j, t, abs(field))
     if abs(_mf_residual(m, j, t, abs(field))) > 1e-12:
         raise ConvergenceError("mean-field fixed point not satisfied to 1e-12")
     return sign * m
@@ -264,10 +306,10 @@ def free_energy_profile(j: float, t: float, field: float, m_grid) -> np.ndarray:
     m = np.asarray(m_grid, dtype=np.float64)
     if np.any(np.abs(m) > 1.0):
         raise ValidationError("magnetization grid must lie in [-1, 1]")
-    from scipy.special import xlogy  # deferred: about 0.3 s of import time
-
     p, q = (1.0 + m) / 2.0, (1.0 - m) / 2.0
-    entropy = -(xlogy(p, p) + xlogy(q, q))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 ln 0 = 0
+        entropy = -(np.where(p > 0.0, p * np.log(p), 0.0)
+                    + np.where(q > 0.0, q * np.log(q), 0.0))
     return -0.5 * j * m**2 - field * m - t * entropy
 
 
@@ -317,7 +359,10 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     values = []
     state = None
     for s in scales:
-        scaled = Observable(s * np.asarray(source.matrix))
+        if source.diagonal is not None:
+            scaled = Observable(diagonal=s * source.diagonal)
+        else:
+            scaled = Observable(s * np.asarray(source.matrix))
         state, _ = gibbs_with_source(h_m, scaled, temperature)
         values.append(qexpect(state, pointer_obs))
     values = np.asarray(values)
@@ -351,11 +396,22 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
         "finite-size failure of the weak-source limit, reporting the last value" % r)
 
 
+def _full_space_guard(n_spins: int) -> None:
+    est = _FULL_VECTORS * 8 * 2**n_spins
+    if est > _FULL_BYTES_MAX:
+        raise GuardError("full-representation pointer would need ~%.1f GB of 2^N vectors; "
+                         "use reduced=True" % (est / 1e9))
+
+
 def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
-    """Dense H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space."""
+    """H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space, stored as
+    their diagonals; sizes past the full pointer's byte guard are refused."""
+    if n_spins < 1:
+        raise ValidationError("need at least one spin")
+    _full_space_guard(n_spins)
     m = weighted_magnetization_diag(np.ones(n_spins))
     h = -(j / (2.0 * n_spins)) * m**2
-    return Observable(np.diag(h.astype(np.complex128))), Observable(np.diag(m.astype(np.complex128)))
+    return Observable(diagonal=h), Observable(diagonal=m)
 
 
 def reduced_magnet_operators(n_spins: int, j: float, temperature: float
@@ -380,15 +436,38 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
     log_deg = np.array(half + half[:n_spins - n_spins // 2][::-1])
     m = (n_spins - 2 * np.arange(n_spins + 1)).astype(np.float64)
     h = -(j / (2.0 * n_spins)) * m**2 - temperature * log_deg
-    return Observable(np.diag(h.astype(np.complex128))), Observable(np.diag(m.astype(np.complex128)))
+    return Observable(diagonal=h), Observable(diagonal=m)
 
 
-def _diagonal_of(op, what: str) -> np.ndarray:
-    """Diagonal of a square matrix that must have no off-diagonal entry."""
-    d = diagonal_or_none(np.asarray(op))
-    if d is None:
+class DiagonalMatrices(Sequence):
+    """Read-only sequence of diagonal matrices kept as their real diagonals.
+
+    Indexing builds the dense complex matrix, as oracle.BlockMap does for its
+    blocks; .diagonals holds the stored vectors.
+    """
+
+    def __init__(self, diagonals):
+        vecs = []
+        for d in diagonals:
+            v = np.array(d, dtype=np.float64)
+            v.setflags(write=False)
+            vecs.append(v)
+        self.diagonals = tuple(vecs)
+
+    def __getitem__(self, i) -> np.ndarray:
+        m = np.diag(self.diagonals[i].astype(np.complex128))
+        m.setflags(write=False)
+        return m
+
+    def __len__(self) -> int:
+        return len(self.diagonals)
+
+
+def _real_diagonals(ops, what: str) -> list[np.ndarray]:
+    ds = [diagonal_or_none(op) for op in ops]
+    if any(d is None for d in ds):
         raise ValidationError(f"{what} must be diagonal in the M_z basis")
-    return d
+    return [d.real for d in ds]
 
 
 @dataclass(frozen=True)
@@ -397,13 +476,15 @@ class PointerModel:
     associated equilibrium states, windowed (R_i) and sourced (R_i^h).
 
     The pointer observable, window projectors and pointer states must be
-    diagonal in the M_z basis; the checks run on their diagonals.
+    diagonal in the M_z basis; the checks run on their diagonals, read
+    directly from diagonal storage.  window_projectors may be given as dense
+    matrices or as DiagonalMatrices and is kept as DiagonalMatrices.
     """
 
     pointer_obs: Observable
     outcomes: tuple[float, ...]
     window: float
-    window_projectors: tuple[np.ndarray, ...]
+    window_projectors: Sequence[np.ndarray]
     pointer_states: tuple[DensityOperator, ...]
     sourced_states: tuple[DensityOperator, ...]
     partition_consts: tuple[float, ...]
@@ -414,10 +495,14 @@ class PointerModel:
             raise ValidationError("outcomes, projectors, and states must align")
         if self.window <= 0:
             raise ValidationError("window half-width must be positive")
-        projs = tuple(np.asarray(p) for p in self.window_projectors)
-        a = _diagonal_of(self.pointer_obs.matrix, "pointer observable").real
-        p = [_diagonal_of(q, "window projector") for q in projs]
-        r = [_diagonal_of(st.matrix, "pointer state") for st in self.pointer_states]
+        projs = self.window_projectors
+        if not isinstance(projs, DiagonalMatrices):
+            projs = DiagonalMatrices(
+                _real_diagonals([np.asarray(q) for q in projs], "window projector"))
+            object.__setattr__(self, "window_projectors", projs)
+        a = _real_diagonals([self.pointer_obs], "pointer observable")[0]
+        p = list(projs.diagonals)
+        r = _real_diagonals(self.pointer_states, "pointer state")
         if any(v.shape != a.shape for v in p + r):
             raise ValidationError("pointer operators must share the magnet dimension")
         # products of diagonal operators are elementwise products of diagonals
@@ -443,7 +528,6 @@ class PointerModel:
             sdev = float(np.sqrt(max(0.0, second - mean**2)))
             if sdev > self.window / 3.0 + 1e-9:
                 raise ValidationError(f"pointer fluctuation too large for outcome {i}")
-        object.__setattr__(self, "window_projectors", projs)
 
 
 def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
@@ -456,18 +540,18 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
     Pointer states are Gibbs states restricted to magnetization windows
     [A_i - delta, A_i + delta] (the strict weak-source limit is ill-defined
     at small N); by default delta is the fixed point of delta = 3 * q-stddev.
-    reduced=True works in the (N+1)-dim magnetization representation.
+    reduced=True works in the (N+1)-dim magnetization representation.  Every
+    operator is kept as its diagonal; the full 2^N representation is refused
+    past a byte guard on those vectors (about N = 22).
     """
     if temperature >= j:
         raise ValidationError("no ferromagnetic pointer above the Curie temperature")
-    if not reduced and n_spins > 10:
-        raise GuardError("full-representation pointer limited to N <= 10; use reduced=True")
     if reduced:
         h_m, m_obs = reduced_magnet_operators(n_spins, j, temperature)
     else:
         h_m, m_obs = magnet_operators(n_spins, j)
-    mz = np.diag(m_obs.matrix).real
-    energies = np.diag(h_m.matrix).real
+    mz = m_obs.diagonal
+    energies = h_m.diagonal
     weights = np.exp(-(energies - energies.min()) / temperature)
     m_f = meanfield_magnetization(j, temperature)[1]
     outcomes = (n_spins * m_f, -n_spins * m_f)
@@ -500,13 +584,13 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
     projs, states = [], []
     for a in outcomes:
         mask, probs, _, _ = window_stats(a, half)
-        projs.append(np.diag(mask.astype(np.complex128)))
-        states.append(DensityOperator(np.diag(probs.astype(np.complex128))))
+        projs.append(mask)
+        states.append(DensityOperator(diagonal=probs))
     if source_strength is None:
         source_strength = 1.5 * g_threshold(j, temperature)
     sourced, zs = [], []
     for sign in (1.0, -1.0):
-        src = Observable(-sign * source_strength * np.asarray(m_obs.matrix))
+        src = Observable(diagonal=-sign * source_strength * mz)
         st, z = gibbs_with_source(h_m, src, temperature)
         sourced.append(st)
         zs.append(z)
@@ -514,7 +598,7 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         pointer_obs=m_obs,
         outcomes=outcomes,
         window=half,
-        window_projectors=tuple(projs),
+        window_projectors=DiagonalMatrices(projs),
         pointer_states=tuple(states),
         sourced_states=tuple(sourced),
         partition_consts=tuple(zs),
@@ -522,17 +606,30 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
 
 
 def final_joint_state(r0: DensityOperator, tested, pointer: PointerModel) -> DensityOperator:
-    """Registered endpoint sum_i p_i r_i (x) R_i; zero-weight outcomes omitted."""
+    """Registered endpoint sum_i p_i r_i (x) R_i; zero-weight outcomes omitted.
+
+    When every pinched P_i r0 P_i is diagonal (an s_z measurement) the sum is
+    diagonal and is built and stored as its diagonal; otherwise it is the
+    dense Kronecker sum.
+    """
     projs = tested.projectors
     if len(projs) != len(pointer.pointer_states):
         raise ValidationError("tested outcomes and pointer states must align")
-    dim_s = r0.matrix.shape[0]
-    dim_m = pointer.pointer_states[0].matrix.shape[0]
-    out = np.zeros((dim_s * dim_m, dim_s * dim_m), dtype=np.complex128)
+    dim_s = r0.dim
+    dim_m = pointer.pointer_states[0].dim
+    terms = []
     for proj, r_m in zip(projs, pointer.pointer_states):
         pinched = proj @ r0.matrix @ proj
-        p = float(np.trace(pinched).real)
-        if p <= 0.0:
-            continue
+        if float(np.trace(pinched).real) > 0.0:
+            terms.append((pinched, r_m))
+    dims = (dim_s, dim_m)
+    pinched_diags = [diagonal_or_none(pinched) for pinched, _ in terms]
+    if all(d is not None for d in pinched_diags):
+        out = np.zeros(dim_s * dim_m)
+        for d, (_, r_m) in zip(pinched_diags, terms):
+            out += np.kron(d.real, diagonal_or_none(r_m).real)
+        return DensityOperator(diagonal=out, subsystem_dims=dims)
+    out = np.zeros((dim_s * dim_m, dim_s * dim_m), dtype=np.complex128)
+    for pinched, r_m in terms:
         out += np.kron(pinched, r_m.matrix)
-    return DensityOperator(out, subsystem_dims=(dim_s, dim_m))
+    return DensityOperator(out, subsystem_dims=dims)

@@ -139,15 +139,15 @@ class _Propagators:
             self.diagonal = True
             self.k_diag = [f.copy() for f in fields]
             return
-        h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
-        if h_m.shape != (dim, dim):
+        if magnet_hamiltonian.dim != dim:
             raise ValidationError("magnet_hamiltonian dimension mismatch")
-        d = diagonal_or_none(h_m)
+        d = diagonal_or_none(magnet_hamiltonian)
         if d is not None:
             self.diagonal = True
             self.k_diag = [d.real + f for f in fields]
         else:
             self.diagonal = False
+            h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
             self.eigs = []
             for f in fields:
                 vals, vecs = np.linalg.eigh(h_m + np.diag(f))
@@ -194,10 +194,12 @@ def iter_sector_blocks(model: CurieWeissModel, times,
 
 def dense_joint_evolution(model: CurieWeissModel, times,
                           magnet_hamiltonian=None) -> list[SectorBlocks]:
-    """Materialized block evolution; guarded by size.  Use iter_sector_blocks
-    for long grids at large N."""
+    """Materialized block evolution; guarded by the bytes its blocks take
+    (2^N entries each on the diagonal path, 4^N otherwise).  Use
+    iter_sector_blocks for long grids at large N."""
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    est = t.size * 4 * (4**model.N) * 16
+    diagonal = magnet_hamiltonian is None or diagonal_or_none(magnet_hamiltonian) is not None
+    est = t.size * 4 * (2**model.N if diagonal else 4**model.N) * 16
     if est > _DENSE_BYTES_MAX:
         raise GuardError(
             "dense evolution would need ~%.1f GB; use iter_sector_blocks" % (est / 1e9)

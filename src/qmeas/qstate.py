@@ -1,13 +1,15 @@
-"""Dense density-operator algebra on finite tensor-product Hilbert spaces.
+"""Density-operator algebra on finite tensor-product Hilbert spaces.
 
 Conventions used throughout the package: hbar = 1 (times are in units of
-hbar/energy), entropies in nats (k_B = 1). States and observables are dense
-complex matrices validated on construction; invariant violations raise
-ValidationError instead of being silently repaired.
+hbar/energy), entropies in nats (k_B = 1). States and observables are complex
+matrices validated on construction; invariant violations raise
+ValidationError instead of being silently repaired.  Operators diagonal in the
+computational basis may be stored as their real diagonal alone (diagonal=);
+expectations, entropies and trace distances between such operators then work
+on the vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,18 +37,27 @@ def _as_complex_matrix(matrix, what: str) -> np.ndarray:
     return m
 
 
-def diagonal_or_none(m: np.ndarray) -> np.ndarray | None:
+def diagonal_or_none(m) -> np.ndarray | None:
     """The diagonal of a square matrix with no nonzero entry off it, else None.
 
-    Compares nonzero counts, so no dense temporary is built.
+    Compares nonzero counts, so no dense temporary is built.  A
+    DensityOperator or Observable in diagonal storage gives its stored real
+    diagonal without building the matrix; a dense one is checked as a matrix.
     """
+    if isinstance(m, _Operator):
+        if m.diagonal is not None:
+            return m.diagonal
+        m = m.matrix
     d = np.diagonal(m)
     return d if np.count_nonzero(m) == np.count_nonzero(d) else None
 
 
 def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray | None:
-    """Raise unless m is Hermitian; return its diagonal when m is diagonal."""
-    d = diagonal_or_none(m)
+    """Raise unless m is Hermitian; return its diagonal when m is diagonal.
+
+    m may also be a complex vector standing for the diagonal matrix it lists.
+    """
+    d = m if m.ndim == 1 else diagonal_or_none(m)
     if d is not None:
         # the entries of M - M^dag are 2i Im d on the diagonal and 0 elsewhere
         dev = 2.0 * float(np.abs(d.imag).max(initial=0.0))
@@ -57,16 +68,74 @@ def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray | None:
     return d
 
 
-def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending; cheap path for diagonal input."""
+def hermitian_eigvalsh(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or operator, ascending; cheap path for
+    diagonal input (diagonal storage is read without building the matrix)."""
     d = diagonal_or_none(m)
     if d is not None:
         return np.sort(d.real)
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(m.matrix if isinstance(m, _Operator) else m)
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+def _validated(matrix, diagonal, what: str) -> tuple:
+    """(dense matrix or None, complex diagonal or None) for one of the two
+    storage modes, after the shape and finiteness checks."""
+    if (matrix is None) == (diagonal is None):
+        raise ValidationError(f"{what}: give exactly one of matrix and diagonal")
+    if diagonal is None:
+        return _as_complex_matrix(matrix, what), None
+    d = np.array(diagonal, dtype=complex)
+    if d.ndim != 1:
+        raise ValidationError(f"{what} diagonal must be a vector, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return None, d
+
+
+class _Operator:
+    """Immutable validated operator in one of two storage modes.
+
+    Dense mode keeps the complex matrix.  Diagonal mode keeps only the real
+    diagonal of an operator diagonal in the computational basis, and .matrix
+    builds the dense matrix on each read (as oracle.BlockMap does for its
+    blocks), so code that reads .matrix keeps working while code that reads
+    .diagonal never builds it.
+    """
+
+    __slots__ = ("_matrix", "_diagonal")
+
+    def _store(self, m, d) -> None:
+        if m is None:
+            d = d.real.copy()
+            d.setflags(write=False)
+        else:
+            m.setflags(write=False)
+            d = None
+        object.__setattr__(self, "_matrix", m)
+        object.__setattr__(self, "_diagonal", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._diagonal is None:
+            return self._matrix
+        m = np.diag(self._diagonal.astype(np.complex128))
+        m.setflags(write=False)
+        return m
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """The stored real diagonal in diagonal mode; None for a dense operator."""
+        return self._diagonal
+
+    @property
+    def dim(self) -> int:
+        return (self._matrix if self._diagonal is None else self._diagonal).shape[0]
+
+
+class DensityOperator(_Operator):
     """A state: Hermitian, unit-trace, positive-semidefinite complex matrix.
 
     Parameters
@@ -76,50 +145,43 @@ class DensityOperator:
     subsystem_dims : tuple of int, optional
         Ordered tensor-factor dimensions; their product must equal dim.
         Defaults to the single factor (dim,).
+    diagonal : array_like, keyword-only
+        Diagonal storage: the length-dim diagonal of a state diagonal in the
+        computational basis, given instead of matrix.  Validation and its
+        messages are those of the dense matrix np.diag(diagonal).
     """
 
-    matrix: np.ndarray
-    subsystem_dims: tuple = ()
+    __slots__ = ("subsystem_dims",)
 
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix, "density matrix")
-        dim = m.shape[0]
-        dims = tuple(int(d) for d in self.subsystem_dims) or (dim,)
-        if any(d < 1 for d in dims) or int(np.prod(dims)) != dim:
+    def __init__(self, matrix=None, subsystem_dims: tuple = (), *, diagonal=None):
+        m, d = _validated(matrix, diagonal, "density matrix")
+        dim = (m if d is None else d).shape[0]
+        dims = tuple(int(k) for k in subsystem_dims) or (dim,)
+        if any(k < 1 for k in dims) or int(np.prod(dims)) != dim:
             raise ValidationError(
                 f"subsystem_dims {dims} do not multiply to dim {dim}")
-        d = _check_hermitian(m, "density matrix")
-        tr = m.trace()
+        d = _check_hermitian(m if d is None else d, "density matrix")
+        tr = m.trace() if m is not None else d.sum()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL}")
         min_eig = float(d.real.min() if d is not None else np.linalg.eigvalsh(m)[0])
         if min_eig < PSD_MIN_EIG:
             raise ValidationError(
                 f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._store(m, d)
         object.__setattr__(self, "subsystem_dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
+class Observable(_Operator):
+    """A Hermitian operator on a finite-dimensional space; pass diagonal=
+    (keyword-only) instead of the matrix for diagonal storage."""
 
-@dataclass(frozen=True)
-class Observable:
-    """A Hermitian operator on a finite-dimensional space."""
+    __slots__ = ()
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix, "observable")
-        _check_hermitian(m, "observable")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix=None, *, diagonal=None):
+        m, d = _validated(matrix, diagonal, "observable")
+        _check_hermitian(m if d is None else d, "observable")
+        self._store(m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +247,9 @@ def qexpect(state: DensityOperator, obs: Observable) -> float:
     """q-expectation Tr(D O); the imaginary residue must be below 1e-12."""
     if state.dim != obs.dim:
         raise ValidationError(f"dimension mismatch: state {state.dim}, obs {obs.dim}")
+    if state.diagonal is not None and obs.diagonal is not None:
+        with np.errstate(under="ignore"):  # subnormal terms are rounding, as in einsum
+            return float(np.dot(state.diagonal, obs.diagonal))
     val = complex(np.einsum("ij,ji->", state.matrix, obs.matrix))
     if abs(val.imag) > 1e-12:
         raise ValidationError(f"imaginary residue {val.imag:.3e} in expectation value")
@@ -242,14 +307,20 @@ def merge(parts: Sequence[tuple]) -> DensityOperator:
 
 
 def vn_entropy(state: DensityOperator) -> float:
-    """von Neumann entropy -Tr D ln D in nats, with 0 ln 0 = 0."""
-    evals = np.clip(hermitian_eigvalsh(state.matrix), 0.0, 1.0)
+    """von Neumann entropy -Tr D ln D in nats, with 0 ln 0 = 0; for diagonal
+    storage the Shannon entropy of the stored diagonal."""
+    evals = np.clip(hermitian_eigvalsh(state), 0.0, 1.0)
     evals = evals[evals > 0.0]
-    return max(0.0, float(-np.sum(evals * np.log(evals))))
+    with np.errstate(under="ignore"):  # p ln p of a subnormal p is subnormal
+        return max(0.0, float(-np.sum(evals * np.log(evals))))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) ||A - B||_1 via the spectrum of the Hermitian difference."""
     if a.dim != b.dim:
         raise ValidationError("dimension mismatch in trace distance")
-    return 0.5 * float(np.abs(hermitian_eigvalsh(a.matrix - b.matrix)).sum())
+    if a.diagonal is not None and b.diagonal is not None:
+        diff = np.sort(a.diagonal - b.diagonal)  # summed in the dense path's order
+    else:
+        diff = hermitian_eigvalsh(a.matrix - b.matrix)
+    return 0.5 * float(np.abs(diff).sum())

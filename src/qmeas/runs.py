@@ -216,17 +216,18 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
         raise ValidationError("joint state must carry (system, magnet) dimensions")
     dim_s, dim_m = d_tf.subsystem_dims
     projs = pointer.window_projectors
-    if projs[0].shape[0] != dim_m:
+    if pointer.pointer_obs.dim != dim_m:
         raise ValidationError("pointer windows do not match the magnet dimension")
     eye_s = np.eye(dim_s)
     e_i = np.kron(eye_s, projs[i])
+    d = d_tf.matrix  # built once when the state is stored as its diagonal
     for jdx, pj in enumerate(projs):
         if jdx == i:
             continue
-        leak = e_i @ d_tf.matrix @ np.kron(eye_s, pj)
+        leak = e_i @ d @ np.kron(eye_s, pj)
         if np.max(np.abs(leak)) > leak_tol:
             raise ValidationError("joint state leaks across pointer windows")
-    sub = e_i @ d_tf.matrix @ e_i
+    sub = e_i @ d @ e_i
     p = float(np.trace(sub).real)
     if p <= 1e-14:
         raise ValidationError(f"outcome {i} has zero weight in the joint state")

@@ -246,3 +246,15 @@ def test_cli_import_leaves_scipy_unloaded():
     version, loaded = out.stdout.splitlines()
     assert version.startswith("qmeas ")
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("argv", [["register", "--N", "200"], ["finalstate", "--N", "10"]])
+def test_registration_leaves_scipy_unloaded(argv):
+    # the mean-field root and the pointer need numpy only
+    code = ("import json, sys\n"
+            "from qmeas import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -184,6 +184,36 @@ class TestCascadeCorrelations:
             cw.cascade_correlation(model, 2, (0, 6), ts)
 
 
+class TestProductsNearTheSubnormalRange:
+    # N = 1e5 at t = 26.585 tau: F is 2.1e-308 with equal couplings and
+    # 3.6e-309 with a 5% spread, so <s_x(0)> F and the cascade coefficients
+    # times their envelope land in the subnormal range
+    T_OVER_TAU = 26.585
+
+    def test_transverse_series_is_defined_under_raise(self):
+        model = cw.build_model(100_000, 1.0, 0.0, 0, bloch_state((0.5, 0, 0)))
+        t = np.array([self.T_OVER_TAU * cw.truncation_time(model)])
+        with np.errstate(all="raise"):
+            res = cw.transverse_expectations(model, t)
+        with np.errstate(under="ignore"):
+            expected = 0.5 * cw.offdiag_factor(model, t)[0]
+        assert res.sx[0] == expected
+        assert 0.0 < res.sx[0] < np.finfo(float).tiny
+        assert res.sy[0] == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cascade_is_defined_under_raise(self, k):
+        model = cw.build_model(100_000, 1.0, 0.05, 0, bloch_state((0.5, 0, 0)))
+        t = self.T_OVER_TAU * cw.truncation_time(model)
+        subset = tuple(range(k))
+        with np.errstate(all="raise"):
+            got = cw.cascade_correlation(model, k, subset, t)
+        with np.errstate(under="ignore"):
+            expected = cw.cascade_correlation(model, k, subset, t)
+        assert got == expected
+        assert 0.0 < abs(got[0]) + abs(got[1]) < np.finfo(float).tiny
+
+
 class TestJointOffdiagBlock:
     def test_initial_block_is_uniform(self):
         model = cw.build_model(4, 1.0)

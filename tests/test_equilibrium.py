@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qmeas import equilibrium as eq
+from qmeas import runs
 from qmeas.errors import ConvergenceError, GuardError, ValidationError
 from qmeas.qstate import (
     SIGMA_Z,
@@ -308,8 +311,43 @@ class TestPointerModel:
             eq.build_curie_weiss_pointer(10, 1.0, 1.2)
 
     def test_full_representation_size_guard(self):
+        # N = 23 is the first size whose 2^N vectors pass the byte guard;
+        # it is refused before anything is allocated
+        with pytest.raises(GuardError, match="reduced=True"):
+            eq.build_curie_weiss_pointer(23, 1.0, 0.5)
         with pytest.raises(GuardError):
-            eq.build_curie_weiss_pointer(11, 1.0, 0.5)
+            eq.magnet_operators(23, 1.0)
+
+    def test_full_pointer_matches_reduced_at_16(self):
+        n = 16
+        full = eq.build_curie_weiss_pointer(n, 1.0, 0.5)
+        red = eq.build_curie_weiss_pointer(n, 1.0, 0.5, reduced=True)
+        assert (full.pointer_states[0].dim, red.pointer_states[0].dim) == (2**n, n + 1)
+        assert full.outcomes == red.outcomes
+        assert full.window == pytest.approx(red.window, rel=1e-12)
+        z_full, z_red = full.partition_consts, red.partition_consts
+        assert z_full[0] / z_red[0] == pytest.approx(1.0, abs=1e-12)
+        assert z_full[0] / z_full[1] == pytest.approx(z_red[0] / z_red[1], abs=1e-13)
+        m_full, m_red = full.pointer_obs.diagonal, red.pointer_obs.diagonal
+        log_deg = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+        for f_st, r_st in zip(full.pointer_states, red.pointer_states):
+            # the M_z marginal of a full pointer state is the reduced state
+            marginal = np.array([f_st.diagonal[m_full == m].sum() for m in m_red])
+            np.testing.assert_allclose(marginal, r_st.diagonal, rtol=1e-12, atol=1e-16)
+            # uniform within each sector: S_full = S_reduced + sum_k q_k ln C(N, k)
+            assert vn_entropy(f_st) == pytest.approx(
+                vn_entropy(r_st) + float(r_st.diagonal @ log_deg), rel=1e-12)
+
+    def test_operators_are_stored_as_diagonals(self):
+        pointer = eq.build_curie_weiss_pointer(10, 1.0, 0.5)
+        assert pointer.pointer_obs.diagonal.shape == (1024,)
+        for st in pointer.pointer_states + pointer.sourced_states:
+            assert st.diagonal is not None
+        assert pointer.window_projectors.diagonals[0].shape == (1024,)
+        # indexing still yields the dense projector
+        proj = pointer.window_projectors[0]
+        assert proj.shape == (1024, 1024)
+        assert np.array_equal(np.diag(proj).real, pointer.window_projectors.diagonals[0])
 
     def test_window_fixed_point_reports_nonconvergence(self):
         # the window fixed point settles in 3 iterations here, not in 1
@@ -372,6 +410,32 @@ class TestFinalJointState:
                   0.5 * np.kron(np.diag([0.0, 1.0]), pointer.pointer_states[1].matrix)]
         assert np.allclose(joint.matrix, halves[0] + halves[1], atol=1e-14)
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_sz_joint_state_is_diagonal_and_exact(self, reduced):
+        pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=reduced)
+        tested = sz_observable()
+        r0 = bloch_state((0.5, 0.2, 0.3))
+        joint = eq.final_joint_state(r0, tested, pointer)
+        assert joint.diagonal is not None
+        assert joint.subsystem_dims == (2, pointer.pointer_states[0].dim)
+        # the dense Kronecker sum, entry for entry
+        dense = sum(np.kron(p @ r0.matrix @ p, r.matrix)
+                    for p, r in zip(tested.projectors, pointer.pointer_states))
+        assert np.array_equal(joint.matrix, dense)
+        assert vn_entropy(joint) == vn_entropy(DensityOperator(dense, joint.subsystem_dims))
+
+    def test_sx_projectors_keep_the_dense_sum(self):
+        pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        tested = runs.TestedObservable((1.0, -1.0), (plus, minus))
+        r0 = bloch_state((0.3, 0.2, 0.6))
+        joint = eq.final_joint_state(r0, tested, pointer)
+        assert joint.diagonal is None
+        dense = sum(np.kron(p @ r0.matrix @ p, r.matrix)
+                    for p, r in zip(tested.projectors, pointer.pointer_states))
+        assert np.array_equal(joint.matrix, dense)
+
     def test_marginal_is_the_pinched_state(self):
         pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
         tested = sz_observable()
@@ -380,6 +444,45 @@ class TestFinalJointState:
         marginal = partial_trace(joint, [0])
         pinched = sum(p @ r0.matrix @ p for p in tested.projectors)
         assert np.max(np.abs(marginal.matrix - pinched)) <= 1e-12
+
+
+class TestMeanFieldRoot:
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 7.3])
+    def test_matches_brentq_on_a_grid(self, j):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        # T/J stays 5% from T_C, where the root is ill-conditioned
+        for ratio in (0.01, 0.1, 0.5, 0.8, 0.95, 1.05, 1.2, 3.0):
+            t = ratio * j
+            for field in (0.0, 1e-6, 1e-3, 0.1, 1.0, 50.0):
+                if field == 0.0 and t >= j:
+                    assert eq.meanfield_magnetization(j, t, field) == 0.0
+                    continue
+                got = eq.meanfield_magnetization(j, t, field)
+                m = got[1] if field == 0.0 else got
+                if field == 0.0:
+                    assert got[0] == -m
+                lo = 1e-8 if field == 0.0 else 0.0
+                ref = brentq(eq._mf_residual, lo, 1.0, args=(j, t, field),
+                             xtol=1e-15, rtol=8.9e-16)
+                # brentq stops within its own tolerance of the root: a few ulp
+                # for m of order 1, up to 1e-15 absolute for small m
+                assert abs(m - ref) <= 1e-15 + 8.9e-16 * abs(ref) + 4 * math.ulp(ref), \
+                    (j, t, field, m, ref)
+                assert abs(eq._mf_residual(m, j, t, field)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.5, 0.8])
+    def test_cli_points_unchanged(self, t):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        ref = brentq(eq._mf_residual, 1e-8, 1.0, args=(1.0, t, 0.0), xtol=1e-15, rtol=8.9e-16)
+        assert eq.meanfield_magnetization(1.0, t) == (-ref, ref)
+
+    def test_negative_field_mirrors(self):
+        assert eq.meanfield_magnetization(1.0, 0.8, -0.1) == -eq.meanfield_magnetization(1.0, 0.8, 0.1)
+
+    def test_free_energy_endpoints_are_finite_under_raise(self):
+        with np.errstate(all="raise"):
+            f = eq.free_energy_profile(1.0, 0.8, 0.2, [-1.0, 0.0, 1.0])
+        assert np.array_equal(f, [-0.5 + 0.2, -0.8 * np.log(2.0), -0.5 - 0.2])
 
 
 class TestNonFiniteInputs:

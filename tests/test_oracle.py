@@ -138,10 +138,26 @@ class TestCrossValidation:
 
 class TestDenseGuard:
     def test_byte_guard_mentions_streaming(self):
+        # diagonal blocks take 4 * 2^N * 16 B per point: 6000 points at
+        # N = 12 need 1.57 GB, past the 1.5 GB guard
         model = spread_model(12)
         with pytest.raises(GuardError) as err:
-            oracle.dense_joint_evolution(model, np.linspace(0, 1, 500))
+            oracle.dense_joint_evolution(model, np.linspace(0, 1, 6000))
         assert "iter_sector_blocks" in str(err.value)
+
+    def test_dense_blocks_are_estimated_at_4_to_the_n(self):
+        # a non-diagonal magnet Hamiltonian keeps 4^N-entry blocks: 500
+        # points at N = 8 need 2.1 GB
+        model = spread_model(8)
+        h_m = Observable(np.full((256, 256), 1e-3, dtype=complex))
+        with pytest.raises(GuardError, match="iter_sector_blocks"):
+            oracle.dense_joint_evolution(model, np.linspace(0, 1, 500), h_m)
+
+    def test_diagonal_blocks_are_estimated_at_2_to_the_n(self):
+        # 33 MB of vector blocks; the 4^N estimate would have refused 34 GB
+        blocks = oracle.dense_joint_evolution(spread_model(10), np.linspace(0, 1, 500))
+        assert len(blocks) == 500
+        assert blocks[-1].blocks.is_diagonal
 
     def test_model_size_guard(self):
         with pytest.raises(GuardError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,9 +208,9 @@ def _dense_verdict(m, state: bool):
     return None
 
 
-def _verdict(cls, m):
+def _verdict(cls, *args, **kwargs):
     try:
-        cls(m)
+        cls(*args, **kwargs)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -231,3 +233,75 @@ def test_property_diagonal_checks_match_dense(entries, normalize):
         fast, dense = hermitian_eigvalsh(m), np.linalg.eigvalsh(m)
     # LAPACK rescales a matrix of tiny norm, which can move eigenvalues by an ulp
     np.testing.assert_allclose(fast, dense, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def _agree(pair):
+    fast, dense = pair
+    return abs(fast - dense) <= max(4 * math.ulp(max(abs(fast), abs(dense))), 1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_real_part, _imag_part), min_size=1, max_size=8), st.booleans(),
+       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+       st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_property_diagonal_storage_matches_dense(entries, normalize, obs_values, weights):
+    re = np.array([e[0] for e in entries])
+    if normalize and re.sum() > 0:
+        re = re / re.sum()
+    d = re + 1j * np.array([e[1] for e in entries])
+    n = d.size
+    o = np.array(obs_values[:n])
+    w = np.array(weights[:n])
+    w = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    with np.errstate(all="raise"):
+        for cls in (DensityOperator, Observable):
+            assert _verdict(cls, diagonal=d) == _verdict(cls, np.diag(d))
+        if _verdict(DensityOperator, np.diag(d)) is not None:
+            return
+        a, b = DensityOperator(diagonal=d), DensityOperator(diagonal=w)
+        obs = Observable(diagonal=o)
+        # diagonal storage keeps the real part, which is what the dense
+        # operators below are built from
+        a_dense, b_dense = DensityOperator(a.matrix), DensityOperator(b.matrix)
+        pairs = [(qexpect(a, obs), qexpect(a_dense, Observable(obs.matrix))),
+                 (vn_entropy(a), vn_entropy(DensityOperator(np.diag(d)))),
+                 (trace_distance(a, b), trace_distance(a_dense, b_dense))]
+        spectra = hermitian_eigvalsh(a), hermitian_eigvalsh(a_dense.matrix)
+    assert np.array_equal(np.diag(a.matrix), d.real)
+    assert all(_agree(p) for p in pairs), pairs
+    assert np.array_equal(*spectra)
+
+
+class TestDiagonalStorage:
+    def test_matrix_is_built_on_read_and_read_only(self):
+        state = DensityOperator(diagonal=[0.25, 0.75], subsystem_dims=(2,))
+        assert state.dim == 2 and state.subsystem_dims == (2,)
+        m = state.matrix
+        assert np.array_equal(m, np.diag([0.25, 0.75]).astype(complex))
+        assert not m.flags.writeable and not state.diagonal.flags.writeable
+        assert Observable(SIGMA_Z).diagonal is None
+
+    def test_exactly_one_storage(self):
+        with pytest.raises(ValidationError, match="exactly one"):
+            DensityOperator()
+        with pytest.raises(ValidationError, match="exactly one"):
+            Observable(SIGMA_Z, diagonal=[1.0, -1.0])
+        with pytest.raises(ValidationError, match="vector"):
+            DensityOperator(diagonal=np.eye(2) / 2)
+
+    def test_operators_are_immutable(self):
+        state = DensityOperator(diagonal=[0.5, 0.5])
+        with pytest.raises(AttributeError):
+            state.subsystem_dims = (1, 2)
+
+    def test_diagonal_or_none_reads_storage(self):
+        state = DensityOperator(diagonal=[0.5, 0.5])
+        assert diagonal_or_none(state) is state.diagonal
+        assert np.array_equal(diagonal_or_none(maximally_mixed(2)), [0.5, 0.5])
+        assert diagonal_or_none(Observable(SIGMA_X)) is None
+
+    def test_mixed_storage_falls_back_to_dense(self):
+        diag = DensityOperator(diagonal=[0.8, 0.2])
+        dense = bloch_state((0.0, 0.0, 0.6))
+        assert qexpect(diag, Observable(SIGMA_Z)) == pytest.approx(0.6, abs=1e-15)
+        assert trace_distance(diag, dense) == 0.0
