@@ -534,6 +534,16 @@ def _selftest_feasible():
     flat = contextuality.CorrelatorTable(np.zeros((2, 2)))
     res = contextuality.joint_distribution_feasible(flat)
     _check(res.feasible, "the zero table must be feasible")
+    q = res.distribution.ravel()
+    a_mat, b_vec = contextuality._feasibility_system(flat)
+    _check(q.min() >= 0.0 and np.max(np.abs(a_mat @ q - b_vec)) <= 1e-12,
+           "the zero table's distribution must be nonnegative and reproduce the table")
+    # the deterministic assignment z = +1, x = -1, u = -1, v = +1 is vertex 6
+    vertex = contextuality.CorrelatorTable(np.array([[-1.0, 1.0], [1.0, -1.0]]),
+                                           np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
+    res = contextuality.joint_distribution_feasible(vertex)
+    _check(res.feasible and np.array_equal(res.distribution.ravel(), np.eye(16)[6]),
+           "a deterministic table must return its own vertex")
     singlet_table = contextuality.table_from_state(contextuality.singlet_state())
     res2 = contextuality.joint_distribution_feasible(singlet_table)
     _check(not res2.feasible and res2.witness.kind == "chsh",

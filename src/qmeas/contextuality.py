@@ -4,18 +4,21 @@ feasibility.
 Each correlator is an ordinary commuting-pair expectation; the CHSH value C
 assembles four of them.  Whether a single probability distribution over all
 four +/-1 observables could reproduce a correlator table is a 16-variable
-linear feasibility problem, solved here by scipy's HiGHS LP solver; at zero
-marginals its answer coincides with the 8-inequality CHSH test and both are
-cross-validated against each other.
+linear feasibility problem.  Its 9 x 16 constraint matrix does not depend on
+the table, so it is solved exactly by trying every basic solution at once:
+the 4096 nonsingular 9-column bases and their inverses are tabulated on
+first use.  Every answer is cross-validated against the 24 facets of the
+local polytope (Fine's theorem): the 8 CHSH variants and the 16 pair cells.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .qstate import PAULI, DensityOperator, Observable, pure_state, qexpect, tensor
 
 _BOUND_TOL = 1e-12
@@ -155,52 +158,68 @@ def chsh_variants(table: CorrelatorTable) -> list[tuple[tuple[int, ...], float]]
     return out
 
 
-def _feasibility_system(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _feasibility_matrix() -> np.ndarray:
     # variables q(sa0, sa1, sb0, sb1) over +/-1 outcomes, flattened with
-    # sign index 0 -> +1, 1 -> -1
-    signs = np.array([1.0, -1.0])
-    rows, rhs = [], []
-    grids = np.array(list(itertools.product((0, 1), repeat=4)))
-    sa0, sa1 = signs[grids[:, 0]], signs[grids[:, 1]]
-    sb0, sb1 = signs[grids[:, 2]], signs[grids[:, 3]]
-    first = (sa0, sa1)
-    second = (sb0, sb1)
-    for i in range(2):
-        for jdx in range(2):
-            rows.append(first[i] * second[jdx])
-            rhs.append(table.correlators[i, jdx])
-    for i in range(2):
-        rows.append(first[i])
-        rhs.append(table.marginals_a[i])
-    for jdx in range(2):
-        rows.append(second[jdx])
-        rhs.append(table.marginals_b[jdx])
-    rows.append(np.ones(16))
-    rhs.append(1.0)
-    return np.asarray(rows), np.asarray(rhs)
+    # sign index 0 -> +1, 1 -> -1; rows: the four correlators, the two
+    # first-side and two second-side marginals, and the normalization
+    signs = np.array([1.0, -1.0])[np.array(list(itertools.product((0, 1), repeat=4)))]
+    first, second = signs[:, :2].T, signs[:, 2:].T
+    rows = [first[i] * second[jdx] for i in range(2) for jdx in range(2)]
+    a_mat = np.array([*rows, *first, *second, np.ones(16)])
+    a_mat.setflags(write=False)
+    return a_mat
+
+
+def _feasibility_system(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]:
+    b_vec = np.concatenate([table.correlators.ravel(), table.marginals_a,
+                            table.marginals_b, [1.0]])
+    return _feasibility_matrix(), b_vec
+
+
+@functools.cache
+def _basis_table() -> tuple[np.ndarray, np.ndarray]:
+    """(columns, inverses) of the 4096 nonsingular 9-column bases of the
+    feasibility matrix, out of C(16, 9) = 11440 column subsets.
+
+    Every nonsingular basis has |det| = 4096 (the tests check this), so
+    4096 B^-1 is an integer matrix (the adjugate up to sign) and rounding it
+    makes the inverses exact; |det| > 2048 is then an exact singularity
+    test.  Built on first use (about 50 ms and 14 MB), not at import.
+    """
+    a_mat = _feasibility_matrix()
+    cols = np.array(list(itertools.combinations(range(a_mat.shape[1]), a_mat.shape[0])))
+    blocks = a_mat[:, cols].transpose(1, 0, 2)
+    keep = np.abs(np.linalg.det(blocks)) > 2048.0
+    inverses = np.round(4096.0 * np.linalg.inv(blocks[keep])) / 4096.0
+    cols = cols[keep]
+    cols.setflags(write=False)
+    inverses.setflags(write=False)
+    return cols, inverses
 
 
 def _nonnegative_solution(a_mat: np.ndarray, b_vec: np.ndarray, tol: float):
-    """Find x >= 0 with A x = b to within 10 tol, or None when there is none."""
-    from scipy.optimize import linprog  # deferred: about 0.2 s of import time
+    """Find x >= 0 with A x = b to within 10 tol, or None when there is none.
 
-    # HiGHS' default feasibility tolerance (1e-7) admits entries near -1e-8,
-    # which the residual check below would then reject; it refuses (with a
-    # warning) any value below 1e-10 and falls back to that default
-    feas_tol = max(tol / 10, 1e-10)
-    res = linprog(np.zeros(a_mat.shape[1]), A_eq=a_mat, b_eq=b_vec, bounds=(0, None),
-                  method="highs", options={"primal_feasibility_tolerance": feas_tol})
-    if res.status == 2:
+    A is the feasibility matrix.  When any x >= 0 solves A x = b, a basic one
+    does (at most 9 nonzero entries), so computing B^-1 b for every basis B
+    and keeping the one whose smallest entry is largest (the lowest index on
+    ties) decides the problem; entries down to -tol are clipped to zero.
+    """
+    cols, inverses = _basis_table()
+    xb = inverses @ b_vec
+    worst = xb.min(axis=1)
+    best = int(np.argmax(worst))
+    if worst[best] < -tol:
         return None
-    if res.status != 0:
-        raise ConvergenceError(f"joint-distribution LP: {res.message}")
-    x = np.clip(res.x, 0.0, None)
+    x = np.zeros(a_mat.shape[1])
+    x[cols[best]] = np.clip(xb[best], 0.0, None)
     if np.max(np.abs(a_mat @ x - b_vec)) > 10 * tol:
         return None
     return x
 
 
-def _pair_negativity(table: CorrelatorTable) -> Witness | None:
+def _worst_pair_cell(table: CorrelatorTable) -> tuple:
     # each observable pair (first i, second j) forces the joint cell
     # q(sa, sb) = (1 + sa*ma_i + sb*mb_j + sa*sb*E_ij)/4 >= 0
     worst = None
@@ -212,8 +231,12 @@ def _pair_negativity(table: CorrelatorTable) -> Witness | None:
                                    + sa * sb * table.correlators[i, jdx])
                     if worst is None or cell < worst[0]:
                         worst = (cell, i, jdx, sa, sb)
-    if worst is not None and worst[0] < -1e-12:
-        cell, i, jdx, sa, sb = worst
+    return worst
+
+
+def _pair_negativity(table: CorrelatorTable) -> Witness | None:
+    cell, i, jdx, sa, sb = _worst_pair_cell(table)
+    if cell < -1e-12:
         return Witness(kind="pair_negativity",
                        detail={"first_axis": i, "second_axis": jdx,
                                "first_sign": int(sa), "second_sign": int(sb)},
@@ -225,21 +248,22 @@ def joint_distribution_feasible(table: CorrelatorTable, tol: float = 1e-9) -> Fe
     """Does any probability distribution over all four +/-1 observables match
     the table?  Returns the distribution or the violated inequality.
 
-    At zero marginals the answer is equivalent to all 8 CHSH variants lying
-    within [-2, 2]; that equivalence is asserted on every call as a
-    cross-check of the LP against the inequality test.
+    A distribution exists exactly when the 8 CHSH variants lie within
+    [-2, 2] and the 16 pair cells are nonnegative (Fine's theorem).  Every
+    call cross-checks the solver against these facets: a returned
+    distribution with a facet violated by more than tol raises, and so does,
+    at zero marginals (where the pair cells cannot go negative), a refusal
+    while all CHSH variants hold within tol.
     """
-    a_mat, b_vec = _feasibility_system(table)
-    x = _nonnegative_solution(a_mat, b_vec, tol)
+    x = _nonnegative_solution(*_feasibility_system(table), tol)
     variants = chsh_variants(table)
     worst_signs, worst_value = max(variants, key=lambda sv: abs(sv[1]))
+    facets_hold = min(2.0 - abs(worst_value), _worst_pair_cell(table)[0]) >= -tol
     zero_marginals = not (np.any(table.marginals_a) or np.any(table.marginals_b))
-    if zero_marginals:
-        chsh_ok = abs(worst_value) <= 2.0 + tol
-        if chsh_ok != (x is not None):
-            raise ValidationError(
-                "internal cross-check failed: LP and CHSH variants disagree "
-                "on a zero-marginal table")
+    if (x is not None and not facets_hold) or (x is None and facets_hold and zero_marginals):
+        raise ValidationError(
+            "internal cross-check failed: the basis solution and the facet "
+            "inequalities disagree")
     if x is not None:
         return FeasibilityResult(feasible=True,
                                  distribution=x.reshape(2, 2, 2, 2),

@@ -10,6 +10,7 @@ on the vectors.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,22 +223,22 @@ def tensor(*factors):
     """Kronecker product of states (or of observables), left to right.
 
     For DensityOperator inputs the subsystem dimension lists concatenate.
+    When every factor is in diagonal storage, so is the product.
     """
     if not factors:
         raise ValidationError("tensor needs at least one factor")
     if all(isinstance(f, DensityOperator) for f in factors):
-        m = factors[0].matrix
-        dims = list(factors[0].subsystem_dims)
-        for f in factors[1:]:
-            m = np.kron(m, f.matrix)
-            dims.extend(f.subsystem_dims)
-        return DensityOperator(m, tuple(dims))
-    if all(isinstance(f, Observable) for f in factors):
-        m = factors[0].matrix
-        for f in factors[1:]:
-            m = np.kron(m, f.matrix)
-        return Observable(m)
-    raise ValidationError("tensor factors must be all states or all observables")
+        dims = tuple(k for f in factors for k in f.subsystem_dims)
+
+        def make(m=None, diagonal=None):
+            return DensityOperator(m, dims, diagonal=diagonal)
+    elif all(isinstance(f, Observable) for f in factors):
+        make = Observable
+    else:
+        raise ValidationError("tensor factors must be all states or all observables")
+    if all(f.diagonal is not None for f in factors):
+        return make(diagonal=reduce(np.kron, [f.diagonal for f in factors]))
+    return make(reduce(np.kron, [f.matrix for f in factors]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,8 @@ def evolve_unitary(state: DensityOperator, hamiltonian: Observable, t: float) ->
 
 
 def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Marginal state on the tensor factors listed in `keep` (original order)."""
+    """Marginal state on the tensor factors listed in `keep` (original order);
+    a state in diagonal storage gives its marginal in diagonal storage."""
     dims = state.subsystem_dims
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
@@ -276,12 +278,15 @@ def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperato
     if keep[0] < 0 or keep[-1] >= n:
         raise ValidationError(f"keep {keep} out of range for {n} subsystems")
     traced = [i for i in range(n) if i not in keep]
+    kept_dims = tuple(dims[i] for i in keep)
+    if state.diagonal is not None:
+        kept = state.diagonal.reshape(dims).sum(axis=tuple(traced))
+        return DensityOperator(diagonal=kept.reshape(-1), subsystem_dims=kept_dims)
     m = state.matrix.reshape(*dims, *dims)
     nleft = n
     for i in reversed(traced):
         m = np.trace(m, axis1=i, axis2=i + nleft)
         nleft -= 1
-    kept_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(kept_dims))
     return DensityOperator(m.reshape(d, d), kept_dims)
 

@@ -210,7 +210,9 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
 
     Checks that the joint state does not leak across windows, renormalizes
     (I (x) Pi_i) D (I (x) Pi_i), and verifies the extracted state factors as
-    r_i (x) R_i within factor_tol in trace distance.
+    r_i (x) R_i within factor_tol in trace distance.  A joint state in
+    diagonal storage is worked on as its diagonal (the windows are diagonal
+    too), and the subensemble and r_i come back in diagonal storage.
     """
     if len(d_tf.subsystem_dims) != 2:
         raise ValidationError("joint state must carry (system, magnet) dimensions")
@@ -218,20 +220,28 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
     projs = pointer.window_projectors
     if pointer.pointer_obs.dim != dim_m:
         raise ValidationError("pointer windows do not match the magnet dimension")
-    eye_s = np.eye(dim_s)
-    e_i = np.kron(eye_s, projs[i])
-    d = d_tf.matrix  # built once when the state is stored as its diagonal
-    for jdx, pj in enumerate(projs):
-        if jdx == i:
-            continue
-        leak = e_i @ d @ np.kron(eye_s, pj)
-        if np.max(np.abs(leak)) > leak_tol:
-            raise ValidationError("joint state leaks across pointer windows")
-    sub = e_i @ d @ e_i
-    p = float(np.trace(sub).real)
+    d = d_tf.diagonal
+    if d is None:
+        eye_s = np.eye(dim_s)
+        e_i = np.kron(eye_s, projs[i])
+        d = d_tf.matrix
+        leaks = (e_i @ d @ np.kron(eye_s, pj) for jdx, pj in enumerate(projs) if jdx != i)
+        sub = e_i @ d @ e_i
+        p = float(np.trace(sub).real)
+    else:
+        # I (x) Pi_j is diagonal: every product is elementwise on the diagonals
+        windows = [np.tile(w, dim_s) for w in projs.diagonals]
+        leaks = (windows[i] * d * w for jdx, w in enumerate(windows) if jdx != i)
+        sub = windows[i] * d * windows[i]
+        p = float(sub.sum())
+    if any(np.max(np.abs(leak)) > leak_tol for leak in leaks):
+        raise ValidationError("joint state leaks across pointer windows")
     if p <= 1e-14:
         raise ValidationError(f"outcome {i} has zero weight in the joint state")
-    delta = DensityOperator(sub / p, d_tf.subsystem_dims)
+    if d_tf.diagonal is None:
+        delta = DensityOperator(sub / p, d_tf.subsystem_dims)
+    else:
+        delta = DensityOperator(diagonal=sub / p, subsystem_dims=d_tf.subsystem_dims)
     r_i = partial_trace(delta, keep=(0,))
     expected = tensor(r_i, pointer.pointer_states[i])
     if trace_distance(delta, expected) > factor_tol:

@@ -258,3 +258,39 @@ def test_registration_leaves_scipy_unloaded(argv):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def test_feasible_leaves_scipy_unloaded():
+    # the basis solver needs numpy only: feasible, infeasible (CHSH) and
+    # with-marginals tables in one interpreter
+    tables = [["--correlators=0.5,0.5,0.5,-0.5"],
+              ["--correlators=0.9,0.9,0.9,-0.9"],
+              ["--correlators=0.3,0.3,0.3,0.3", "--marginals-a=0.1,0", "--marginals-b=0,-0.2"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from qmeas import cli\n"
+            "verdicts = []\n"
+            f"for extra in {tables!r}:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert cli.main(['feasible', *extra]) == 0\n"
+            "    verdicts.append(json.loads(buf.getvalue())['feasible'])\n"
+            "print(json.dumps([verdicts,\n"
+            "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    verdicts, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert verdicts == [True, False, True]
+    assert loaded == []
+
+
+def test_no_selftest_loads_scipy():
+    # every subcommand's selftest exercises its solver path on numpy alone
+    code = ("import contextlib, io, json, sys\n"
+            "from qmeas import cli\n"
+            "for name in cli._COMMANDS:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main([name, '--selftest']) == 0, name\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmeas import contextuality as ctx
-from qmeas.errors import ConvergenceError, ValidationError
+from qmeas.errors import ValidationError
 from qmeas.qstate import bloch_state, tensor
 
 # outcome signs (sa0, sa1, sb0, sb1) of the 16 joint cells, index 0 -> +1
@@ -247,16 +247,52 @@ class TestFeasibility:
                 assert res.witness.value == pytest.approx(cell, abs=1e-12)
         assert decided >= 495
 
-    def test_lp_failure_is_not_a_verdict(self, monkeypatch):
-        import scipy.optimize
-
-        def stalled(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(status=4, x=None,
-                                                 message="numerical difficulties")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
-        with pytest.raises(ConvergenceError, match="numerical difficulties"):
+    def test_solver_failure_is_not_a_verdict(self, monkeypatch):
+        # a refusal on a table every facet admits must raise, not report
+        # infeasibility
+        monkeypatch.setattr(ctx, "_nonnegative_solution", lambda *args, **kwargs: None)
+        with pytest.raises(ValidationError, match="cross-check"):
             ctx.joint_distribution_feasible(ctx.CorrelatorTable(np.zeros((2, 2))))
+
+    def test_distribution_against_a_facet_is_not_a_verdict(self, monkeypatch):
+        # a table with marginals whose (z, u) pair cell is -1/2: a solver that
+        # still returns a distribution must trip the facet cross-check
+        corr = np.zeros((2, 2))
+        corr[0, 0] = -1.0
+        table = ctx.CorrelatorTable(corr, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        monkeypatch.setattr(ctx, "_nonnegative_solution",
+                            lambda *args, **kwargs: np.full(16, 1.0 / 16))
+        with pytest.raises(ValidationError, match="cross-check"):
+            ctx.joint_distribution_feasible(table)
+
+    def test_basis_table_is_exact_and_well_conditioned(self):
+        cols, inverses = ctx._basis_table()
+        assert cols.shape == (4096, 9) and inverses.shape == (4096, 9, 9)
+        assert len({tuple(c) for c in cols}) == 4096
+        blocks = ctx._feasibility_matrix()[:, cols].transpose(1, 0, 2)
+        assert np.all(np.abs(np.abs(np.linalg.det(blocks)) - 4096.0) <= 1e-6)
+        assert np.max(np.linalg.cond(blocks)) <= 6.0
+        assert np.array_equal(inverses @ blocks, np.broadcast_to(np.eye(9), blocks.shape))
+
+    def test_deterministic_tables_return_their_vertex(self):
+        for k, (sa0, sa1, sb0, sb1) in enumerate(_SIGNS):
+            corr = np.array([[sa0 * sb0, sa0 * sb1], [sa1 * sb0, sa1 * sb1]])
+            res = ctx.joint_distribution_feasible(
+                ctx.CorrelatorTable(corr, np.array([sa0, sa1]), np.array([sb0, sb1])))
+            assert res.feasible
+            assert np.array_equal(res.distribution.ravel(), np.eye(16)[k])
+
+    def test_chsh_saturating_table_is_feasible(self):
+        corr = np.array([[0.5, 0.5], [0.5, -0.5]])
+        table = ctx.CorrelatorTable(corr)
+        assert max(abs(v) for _, v in ctx.chsh_variants(table)) == 2.0
+        res = ctx.joint_distribution_feasible(table)
+        assert res.feasible
+        q = res.distribution.ravel()
+        assert q.min() >= 0.0
+        assert abs(q.sum() - 1.0) <= 1e-12
+        for got, want in zip(_moments(q), (corr, np.zeros(2), np.zeros(2))):
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_tight_tolerance_stays_within_highs_range(self):
         table = ctx.CorrelatorTable(np.full((2, 2), 0.3), np.array([0.1, 0.0]),

@@ -119,6 +119,33 @@ class TestPartialTrace:
         rhs = float(np.real(np.trace(d.matrix @ np.kron(x.matrix, np.eye(2)))))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_diagonal_storage_kept(self, rng):
+        # a 2 x 3 x 2 diagonal state: each marginal is the diagonal summed over
+        # the traced factors, equal to the dense partial trace
+        q = rng.dirichlet(np.ones(12))
+        diag = DensityOperator(diagonal=q, subsystem_dims=(2, 3, 2))
+        dense = DensityOperator(np.diag(q), (2, 3, 2))
+        for keep in ([0], [1], [0, 2], [1, 2], [0, 1, 2]):
+            fast, slow = partial_trace(diag, keep), partial_trace(dense, keep)
+            assert fast.diagonal is not None
+            assert fast.subsystem_dims == slow.subsystem_dims
+            assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-15
+
+
+class TestTensorStorage:
+    def test_diagonal_factors_give_diagonal_product(self, rng):
+        a = DensityOperator(diagonal=rng.dirichlet(np.ones(2)))
+        b = DensityOperator(diagonal=rng.dirichlet(np.ones(3)), subsystem_dims=(3,))
+        prod = tensor(a, b)
+        assert prod.diagonal is not None and prod.subsystem_dims == (2, 3)
+        assert np.array_equal(prod.matrix, np.kron(a.matrix, b.matrix))
+        obs = tensor(Observable(diagonal=[1.0, -1.0]), Observable(diagonal=[2.0, 0.5]))
+        assert np.array_equal(obs.diagonal, [2.0, 0.5, -2.0, -0.5])
+
+    def test_mixed_storage_stays_dense(self, rng):
+        prod = tensor(DensityOperator(diagonal=[0.25, 0.75]), random_density(2, rng))
+        assert prod.diagonal is None
+
 
 class TestMerge:
     def test_equal_mixture_is_unpolarized(self):

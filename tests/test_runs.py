@@ -216,6 +216,21 @@ class TestSubensembles:
         mixed = sum(b.p * b.delta.matrix for b in branches)
         assert np.max(np.abs(mixed - joint.matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("n_spins, reduced", [(10, True), (6, False)])
+    def test_diagonal_path_matches_dense(self, n_spins, reduced):
+        pointer = eq.build_curie_weiss_pointer(n_spins, 1.0, 0.5, reduced=reduced)
+        joint = eq.final_joint_state(bloch_state((0.3, 0.2, 0.6)), runs.sz_observable(),
+                                     pointer)
+        assert joint.diagonal is not None
+        dense = DensityOperator(joint.matrix, joint.subsystem_dims)
+        for i in (0, 1):
+            fast = runs.subensemble_state(joint, pointer, i)
+            slow = runs.subensemble_state(dense, pointer, i)
+            assert fast.delta.diagonal is not None and fast.r.diagonal is not None
+            assert fast.p == pytest.approx(slow.p, abs=1e-15)
+            assert np.max(np.abs(fast.r.matrix - slow.r.matrix)) <= 1e-15
+            assert np.max(np.abs(fast.delta.matrix - slow.delta.matrix)) <= 1e-15
+
     def test_leak_detection(self, pointer):
         # cat state across the two magnetization windows
         d0 = np.diag(pointer.window_projectors[0]).real
