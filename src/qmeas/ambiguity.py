@@ -9,6 +9,7 @@ classical contrast where the decomposition is unique.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,13 +37,15 @@ class ChordDecomposition:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if abs(np.linalg.norm(self.v1) - 1.0) > 1e-12 or abs(np.linalg.norm(self.v2) - 1.0) > 1e-12:
+        with np.errstate(under="ignore"):  # tiny components round to 0
+            norms = np.linalg.norm(self.v1), np.linalg.norm(self.v2)
+            recon = self.rho1 * self.v1 + self.rho2 * self.v2
+        if max(abs(n - 1.0) for n in norms) > 1e-12:
             raise ValidationError("chord endpoints must be pure (unit norm)")
         if not (0.0 < self.rho1 < 1.0 and 0.0 < self.rho2 < 1.0):
             raise ValidationError("weights must lie strictly inside (0, 1)")
         if abs(self.rho1 + self.rho2 - 1.0) > 1e-12:
             raise ValidationError("weights must sum to 1")
-        recon = self.rho1 * self.v1 + self.rho2 * self.v2
         if np.max(np.abs(recon - self.v)) > 1e-12:
             raise ValidationError("endpoints and weights do not recompose v")
 
@@ -86,24 +89,29 @@ def chord_decomposition(v, direction) -> ChordDecomposition:
     d = np.asarray(direction, dtype=np.float64)
     if v.shape != (3,) or d.shape != (3,):
         raise ValidationError("v and direction must be 3-vectors")
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
+    big = float(np.max(np.abs(d)))
+    if big == 0.0:
         raise ValidationError("direction must be nonzero")
-    d = d / nd
-    norm_v = np.linalg.norm(v)
-    if norm_v >= 1.0 - 1e-12:
-        raise ValidationError("v must be an interior point (mixed state)")
-    vd = float(v @ d)
-    disc = vd * vd + (1.0 - norm_v**2)
-    if disc <= 0.0:
-        raise ValidationError("degenerate chord; impossible for an interior point")
-    root = np.sqrt(disc)
-    s_plus = -vd + root
-    s_minus = -vd - root
-    v1 = v + s_plus * d
-    v2 = v + s_minus * d
-    v1 /= np.linalg.norm(v1)
-    v2 /= np.linalg.norm(v2)
+    # underflow below is rounding: tiny components of v, d, v1 or v2 go to 0
+    with np.errstate(under="ignore"):
+        # scaling by a power of two is exact, so d / |d| keeps its bits, and
+        # the norm of a tiny direction stays out of the subnormal range
+        d = np.ldexp(d, -math.frexp(big)[1])
+        d = d / np.linalg.norm(d)
+        norm_v = np.linalg.norm(v)
+        if norm_v >= 1.0 - 1e-12:
+            raise ValidationError("v must be an interior point (mixed state)")
+        vd = float(v @ d)
+        disc = vd * vd + (1.0 - norm_v**2)
+        if disc <= 0.0:
+            raise ValidationError("degenerate chord; impossible for an interior point")
+        root = np.sqrt(disc)
+        s_plus = -vd + root
+        s_minus = -vd - root
+        v1 = v + s_plus * d
+        v2 = v + s_minus * d
+        v1 /= np.linalg.norm(v1)
+        v2 /= np.linalg.norm(v2)
     rho1 = -s_minus / (s_plus - s_minus)
     return ChordDecomposition(v=v, direction=d, v1=v1, v2=v2,
                               rho1=float(rho1), rho2=float(1.0 - rho1))

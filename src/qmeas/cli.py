@@ -238,12 +238,14 @@ def _cmd_recur(args) -> dict:
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
     rows = []
-    # seeds run one after another: the kernel already threads each profile
+    r0 = bloch_state(_parse_bloch(args.r0))
+    # seeds run one after another; no model outlives its own profile, so
+    # one coupling table at a time is held
     for seed in range(args.seed, args.seed + args.seeds):
-        model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed,
-                                        bloch_state(_parse_bloch(args.r0)))
-        for p in curie_weiss.recurrence_profile(model, args.nu_max):
-            rows.append([seed, p.nu, p.time, p.measured, p.predicted])
+        model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed, r0)
+        peaks = curie_weiss.recurrence_profile(model, args.nu_max)
+        del model
+        rows += [[seed, p.nu, p.time, p.measured, p.predicted] for p in peaks]
     return {"columns": ["seed", "nu", "t_nu", "measured", "predicted"], "rows": rows}
 
 

@@ -7,15 +7,20 @@ multiplied by the real factor F(t) = prod_n cos(2 g_n t).  Everything here is
 closed-form; the dense oracle in qmeas.oracle cross-checks it for small N.
 
 Products of cosines take one of two paths per time point.  Where every angle
-x_n = c_n t is small, log F = sum_k a_k sum_n x_n^(2k) is summed to K terms
-from power sums of the couplings, computed once per call (O(N K)), so each
-such point costs O(K); its k = 1 term is the Gaussian envelope
-exp(-(t/tau)^2 (1 + delta^2)).  With x_max = |t| max_n |c_n| and
+x_n = 2 g_n t is small, log F = sum_k a_k sum_n x_n^(2k) is summed to K
+terms from power sums of the couplings, computed once per call (O(N K)), so
+each such point costs O(K); its k = 1 term is the Gaussian envelope
+exp(-(t/tau)^2 (1 + delta^2)).  With x_max = |t| max_n |2 g_n| and
 q = (2 x_max / pi)^2, the terms past K add at most
 N (pi^2/6) q^(K+1) / ((K+1)(1-q)) to |log F| (from |B_2k| =
 2 (2k)! zeta(2k) / (2 pi)^(2k)); the series serves a point only where that
-bound is at most _SERIES_TOL.  Every other point (recurrences, wide grids at
-small N) goes to the log-domain kernel, qmeas.kernels.trig_product.
+bound is at most _SERIES_TOL.  The cascade's cos part takes the power sums
+of all couplings minus those of its subset.  At a recurrence peak
+t_nu = nu pi/(2g) the same series runs over the deviations 2 (g_n - g),
+whose angles stay small.  Only the points past the radius (wide grids at
+small N, recurrences of a wide spread) and the cascade's sine factors go to
+the log-domain kernel, qmeas.kernels.trig_product.  The coupling table is
+the only N-sized array that lives through a call on the series path.
 
 Units: hbar = 1, couplings are energies, times are inverse energies.
 """
@@ -65,10 +70,15 @@ class CurieWeissModel:
             raise ValidationError("couplings must have shape (N,)")
         if np.any(c <= 0.0):
             raise ValidationError("all couplings must be positive")
-        dg = c - self.g
-        if abs(float(dg.mean())) > 1e-12 * self.g:
+        # deviation sums by blocks: no N-sized deviation array
+        dsum = dsq = 0.0
+        for lo in range(0, c.size, _POWER_BLOCK):
+            dg = c[lo:lo + _POWER_BLOCK] - self.g
+            dsum += float(dg.sum())
+            dsq += float(dg @ dg)
+        if abs(dsum / c.size) > 1e-12 * self.g:
             raise ValidationError("coupling deviations must have zero mean")
-        rms = float(np.sqrt(np.mean(dg**2)))
+        rms = float(np.sqrt(dsq / c.size))
         ref = max(abs(self.delta_g_rms), abs(rms))
         if ref > 0.0 and abs(rms - self.delta_g_rms) > 1e-12 * ref:
             raise ValidationError("delta_g_rms does not match the stored couplings")
@@ -117,6 +127,8 @@ def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
     The deviations are Gaussian, recentred and rescaled so the sample mean is
     exactly 0 and the sample RMS exactly delta_g_rel*g; fixed seed gives
     bit-identical couplings.  Draws pushing any g_n below zero are rejected.
+    The draw is recentred, scaled and shifted by g in place: the table is
+    the only N-sized array that outlives the call.
     """
     N = int(N)
     if N < 1 or N > ANALYTIC_N_MAX:
@@ -130,20 +142,22 @@ def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
     if r0 is None:
         r0 = bloch_state((1.0, 0.0, 0.0))
     if delta_g_rel == 0.0:
-        dg = np.zeros(N)
+        c = np.full(N, g)
     else:
         if N == 1:
             raise ValidationError("delta_g_rel > 0 requires N >= 2 (recentring kills a single deviation)")
-        draw = np.random.default_rng(seed).standard_normal(N)
-        draw -= draw.mean()
-        norm = float(np.sqrt(np.mean(draw**2)))
+        c = np.random.default_rng(seed).standard_normal(N)
+        c -= c.mean()
+        norm = float(np.sqrt(np.mean(c**2)))
         if norm == 0.0:
             raise ValidationError("degenerate coupling draw; use another seed")
-        dg = draw * (delta_g_rel * g / norm)
-        if np.any(g + dg <= 0.0):
+        # the same bits as g + draw * (delta_g_rel * g / norm)
+        c *= delta_g_rel * g / norm
+        c += g
+        if np.any(c <= 0.0):
             raise ValidationError("coupling draw produced g_n <= 0; lower delta_g_rel or change seed")
     return CurieWeissModel(
-        N=N, g=g, couplings=g + dg, delta_g_rms=delta_g_rel * g, seed=seed, r0=r0
+        N=N, g=g, couplings=c, delta_g_rms=delta_g_rel * g, seed=seed, r0=r0
     )
 
 
@@ -164,14 +178,15 @@ def _series_radius(n: int) -> float:
     return 0.5 * np.pi * np.sqrt(q0 * (1.0 - q0) ** e)
 
 
-def _power_sums(c: np.ndarray, scale: float) -> np.ndarray:
-    """S_k = sum_n (c_n/scale)^(2k) for k = 1..K, by cache-sized blocks."""
+def _power_sums(c: np.ndarray, scale: float, shift: float = 0.0) -> np.ndarray:
+    """S_k = sum_n ((c_n - shift)/scale)^(2k) for k = 1..K, by cache-sized blocks."""
     s = np.zeros(_SERIES_K)
-    # with scale = max|c| every term is at most 1; terms of far smaller
-    # couplings may underflow to 0, which changes no sum
+    # with scale = max|c - shift| every term is at most 1; terms of far
+    # smaller couplings may underflow to 0, which changes no sum
     with np.errstate(under="ignore"):
         for lo in range(0, c.size, _POWER_BLOCK):
-            r = c[lo:lo + _POWER_BLOCK] / scale
+            r = c[lo:lo + _POWER_BLOCK] - shift
+            r /= scale
             r *= r
             p = r.copy()
             for k in range(_SERIES_K):
@@ -180,33 +195,47 @@ def _power_sums(c: np.ndarray, scale: float) -> np.ndarray:
     return s
 
 
-def _cos_product(c: np.ndarray, times) -> np.ndarray:
-    """prod_n cos(c_n t) per time: the series inside its radius, the kernel past it.
+def _cos_product(c: np.ndarray, times, shift: float = 0.0, drop=None) -> np.ndarray:
+    """prod_n cos(2 (c_n - shift) t) per time, over the n not in ``drop``.
 
-    Inside the radius log F = sum_k a_k S_k u^k with u = (t max|c|)^2, every
-    term is <= 0, so F is in [0, 1], F(0) = 1 exactly and F(-t) == F(t) bit
-    for bit.  The empty product is 1.
+    Inside the series radius log F = sum_k a_k S_k u^k with u = (t x)^2 and
+    x = 2 max|c - shift| over all n, which bounds the kept angles.  The
+    dropped terms' power sums are subtracted from the full ones and clamped
+    at 0, so every term is <= 0, F is in [0, 1], F(0) = 1 exactly and
+    F(-t) == F(t) bit for bit.  Past the radius the kernel takes the kept
+    coefficients at times 2t, the same angles bit for bit as 2c at t.  The
+    empty product, and every product of zero angles, is exactly 1.
     """
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if t.ndim != 1:
         raise ValidationError("times must be scalar or one-dimensional")
-    if c.size == 0:
+    n = c.size - (0 if drop is None else len(drop))
+    if n == 0:
         return np.ones(t.size)
-    cmax = float(np.max(np.abs(c)))
-    near = np.abs(t) <= _series_radius(c.size) / cmax
+    # max|c - shift| from the extremes: c - shift rounds monotonically
+    cmax = max(float(c.max()) - shift, shift - float(c.min()))
+    if cmax == 0.0:
+        return np.ones(t.size)
+    near = np.abs(t) <= _series_radius(n) / (2.0 * cmax)
     out = np.empty(t.size)
     if near.any():
-        s = _power_sums(c, cmax) * _LOGCOS
+        s = _power_sums(c, cmax, shift)
+        if drop is not None:
+            s = np.maximum(s - _power_sums(c[drop], cmax, shift), 0.0)
+        s *= _LOGCOS
         # t^2, the Horner steps and exp underflow harmlessly for tiny t
         # and deep decay: to 0 in u and log F, to a subnormal or 0 in F
         with np.errstate(under="ignore"):
-            u = np.square(t[near] * cmax)
+            u = np.square(t[near] * (2.0 * cmax))
             log_f = 0.0
             for sk in s[::-1]:
                 log_f = (log_f + sk) * u
             out[near] = np.exp(log_f)
     if not near.all():
-        out[~near] = kernels.trig_product(c, t[~near])
+        kept = c if drop is None else np.delete(c, drop)
+        if shift:
+            kept = kept - shift
+        out[~near] = kernels.trig_product(kept, 2.0 * t[~near])
     return out
 
 
@@ -219,7 +248,7 @@ def offdiag_factor(model: CurieWeissModel, times):
     Scalar in, float out; array in, array out.  The value is exactly real.
     """
     scalar = np.ndim(times) == 0
-    out = _cos_product(2.0 * model.couplings, times)
+    out = _cos_product(model.couplings, times)
     return float(out[0]) if scalar else out
 
 
@@ -240,14 +269,17 @@ def recurrence_profile(model: CurieWeissModel, nu_max: int) -> list[RecurrencePe
     """Recurrence peaks t_nu = nu*pi/(2g): measured |F| vs exp(-K nu^2).
 
     K = N (pi * delta_g_rms / g)^2 / 2 is the Gaussian estimate of the damping
-    produced by the coupling spread; with zero spread every peak returns to 1.
+    produced by the coupling spread.  Since 2 g_n t_nu = nu pi + 2 (g_n - g) t_nu,
+    |F(t_nu)| = prod_n |cos(2 (g_n - g) t_nu)| exactly: the product over the
+    small deviation angles, which takes the power-sum series within its
+    radius.  With zero spread every peak is exactly 1.
     """
     nu_max = int(nu_max)
     if nu_max < 1:
         raise ValidationError("nu_max must be >= 1")
     K = 0.5 * model.N * (np.pi * model.delta_g_rms / model.g) ** 2
     t_peaks = np.arange(1, nu_max + 1) * (np.pi / (2.0 * model.g))
-    measured = np.abs(offdiag_factor(model, t_peaks))
+    measured = np.abs(_cos_product(model.couplings, t_peaks, shift=model.g))
     out = []
     for nu in range(1, nu_max + 1):
         out.append(
@@ -275,9 +307,9 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     cos(2 g_n t) times initial-state coefficients that cycle with k mod 4
     (phase convention fixed against the dense oracle).  The k sin factors go
     to the kernel (O(k) per time point); the cos product over the N - k
-    other couplings takes the power-sum series within its radius and the
-    kernel past it, as in offdiag_factor.  Returns (with_sx, with_sy);
-    scalars for scalar t.
+    other couplings takes the power sums of all couplings minus those of the
+    subset within the series radius, and the kernel past it, as in
+    offdiag_factor.  Returns (with_sx, with_sy); scalars for scalar t.
     """
     k = int(k)
     if not 1 <= k <= model.N:
@@ -289,17 +321,17 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
         raise ValidationError("subset indices must be distinct")
     if idx.size and (idx.min() < 0 or idx.max() >= model.N):
         raise ValidationError("subset index out of range")
-    mask = np.zeros(model.N, dtype=bool)
-    mask[idx] = True
+    idx.sort()
     scalar = np.ndim(times) == 0
-    c = 2.0 * model.couplings
-    cosines = _cos_product(c[~mask], times)
+    cosines = _cos_product(model.couplings, times, drop=idx)
     cx, cy = _cascade_coefficients(model.r0, k)
     # tiny t gives subnormal sin factors, and two deep factors (or a deep
     # envelope and a coefficient below 1) may multiply to a subnormal or 0:
     # underflow here is rounding, not an error
     with np.errstate(under="ignore"):
-        env = kernels.trig_product(c[mask], times, sin_mask=np.ones(k, dtype=bool)) * cosines
+        sines = kernels.trig_product(2.0 * model.couplings[idx], times,
+                                     sin_mask=np.ones(k, dtype=bool))
+        env = sines * cosines
         corr_x, corr_y = cx * env, cy * env
     if scalar:
         return float(corr_x[0]), float(corr_y[0])

@@ -129,7 +129,8 @@ def born_weights(r0: DensityOperator, tested: TestedObservable) -> np.ndarray:
         raise ValidationError("state and observable dimensions disagree")
     ps = []
     for p in tested.projectors:
-        val = complex(np.trace(p @ r0.matrix))
+        with np.errstate(under="ignore"):  # tiny entries round to 0
+            val = complex(np.trace(p @ r0.matrix))
         if abs(val.imag) > 1e-12:
             raise ValidationError("projector weight came out complex")
         if not -1e-12 <= val.real <= 1.0 + 1e-12:
@@ -142,21 +143,33 @@ def born_weights(r0: DensityOperator, tested: TestedObservable) -> np.ndarray:
 
 
 def luders_branch(r0: DensityOperator, tested: TestedObservable, i: int) -> OutcomeBranch:
-    """Branch pi_i r0 pi_i / p_i; an explicit error at p_i = 0."""
+    """Branch pi_i r0 pi_i / p_i; an explicit error at p_i = 0.
+
+    The state is formed as K K^dagger / tr with K = pi_i L and r0 = L L^dagger:
+    a Gram matrix is positive semidefinite to rounding on its own scale p_i,
+    while rounding in pi_i r0 pi_i is on the scale of r0 and, divided by a
+    small p_i, breaks the Hermitian and positivity checks.
+    """
     proj = tested.projectors[i]
-    pinched = proj @ r0.matrix @ proj
-    p = float(np.trace(pinched).real)
-    if p <= 1e-14:
-        raise ValidationError(f"outcome {i} has zero weight; branch state undefined")
-    return OutcomeBranch(index=i, p=p,
-                         r=DensityOperator(pinched / p, r0.subsystem_dims))
+    with np.errstate(under="ignore"):  # tiny entries round to 0
+        p = float(np.trace(proj @ r0.matrix @ proj).real)
+        if p <= 1e-14:
+            raise ValidationError(f"outcome {i} has zero weight; branch state undefined")
+        lam, u = np.linalg.eigh(r0.matrix)
+        k = proj @ (u * np.sqrt(np.clip(lam, 0.0, None)))
+        gram = k @ k.conj().T
+        gram = 0.5 * (gram + gram.conj().T)
+        gram /= np.trace(gram).real
+    return OutcomeBranch(index=i, p=p, r=DensityOperator(gram, r0.subsystem_dims))
 
 
 def von_neumann_branch(tested: TestedObservable, i: int) -> OutcomeBranch:
     """Maximally random sector state pi_i / rank(pi_i); needs no input state."""
     proj = tested.projectors[i]
     rank = float(np.trace(proj).real)
-    return OutcomeBranch(index=i, p=None, r=DensityOperator(proj / rank))
+    with np.errstate(under="ignore"):  # tiny entries round to 0
+        r = proj / rank
+    return OutcomeBranch(index=i, p=None, r=DensityOperator(r))
 
 
 def unread_reduction(r0: DensityOperator, tested: TestedObservable) -> DensityOperator:
@@ -164,8 +177,10 @@ def unread_reduction(r0: DensityOperator, tested: TestedObservable) -> DensityOp
     if r0.matrix.shape[0] != tested.dim:
         raise ValidationError("state and observable dimensions disagree")
     out = np.zeros_like(np.asarray(r0.matrix))
-    for proj in tested.projectors:
-        out = out + proj @ r0.matrix @ proj
+    # entries below the normal range round to 0: not an error
+    with np.errstate(under="ignore"):
+        for proj in tested.projectors:
+            out = out + proj @ r0.matrix @ proj
     pinched = DensityOperator(out, r0.subsystem_dims)
     if vn_entropy(pinched) < vn_entropy(r0) - 1e-12:
         raise ValidationError("pinch decreased entropy; projector family inconsistent")

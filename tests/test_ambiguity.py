@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmeas import ambiguity as amb
 from qmeas.errors import ValidationError
@@ -55,6 +57,21 @@ class TestChordDecomposition:
             amb.chord_decomposition([0, 0, 0.5], [0, 0, 0])
         with pytest.raises(ValidationError):
             amb.chord_decomposition([0, 0, 0.5, 0.0], [0, 0, 1])
+
+
+_component = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_component, min_size=3, max_size=3), st.lists(_component, min_size=3, max_size=3))
+def test_property_chord_weights_recompose_under_raise(v, d):
+    v, d = np.array(v), np.array(d)
+    assume(np.linalg.norm(v) < 1.0 - 1e-12 and np.any(d != 0.0))
+    with np.errstate(all="raise"):
+        dec = amb.chord_decomposition(v, d)
+    assert abs(dec.rho1 + dec.rho2 - 1.0) <= 1e-12
+    assert 0.0 < dec.rho1 < 1.0 and 0.0 < dec.rho2 < 1.0
+    assert np.max(np.abs(dec.rho1 * dec.v1 + dec.rho2 * dec.v2 - v)) <= 1e-12
 
 
 class TestOverlapLaw:

@@ -36,6 +36,42 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             cw.build_model(10**7 + 1, 1.0)
 
+    @pytest.mark.parametrize("n", [50, 3 * cw._POWER_BLOCK + 7])
+    def test_in_place_draw_is_bit_equal_to_the_formula(self, n):
+        g, rel, seed = 0.8, 0.05, 11
+        draw = np.random.default_rng(seed).standard_normal(n)
+        draw -= draw.mean()
+        norm = float(np.sqrt(np.mean(draw**2)))
+        want = g + draw * (rel * g / norm)
+        assert np.array_equal(cw.build_model(n, g, rel, seed).couplings, want)
+
+
+class TestModelValidation:
+    """The zero-mean and RMS checks sum every block, the last partial one too."""
+
+    N = 2 * cw._POWER_BLOCK + 3
+
+    def _model(self, couplings, rms):
+        return cw.CurieWeissModel(N=self.N, g=1.0, couplings=couplings, delta_g_rms=rms,
+                                  seed=None, r0=bloch_state((1, 0, 0)))
+
+    def test_nonzero_mean_rejected(self):
+        c = np.ones(self.N)
+        c[-1] += 1e-3  # mean deviation 1e-3/N, far above 1e-12 g
+        rms = 1e-3 / np.sqrt(self.N)
+        with pytest.raises(ValidationError, match="zero mean"):
+            self._model(c, rms)
+
+    def test_rms_mismatch_rejected(self):
+        good = cw.build_model(self.N, 1.0, 0.05, 3)
+        assert self._model(good.couplings.copy(), 0.05).delta_g_rms == 0.05
+        with pytest.raises(ValidationError, match="delta_g_rms"):
+            self._model(good.couplings.copy(), 0.05 * (1.0 + 1e-9))
+        c = good.couplings.copy()
+        c[-2:] += (1e-4, -1e-4)  # zero-sum change in the last block moves the RMS
+        with pytest.raises(ValidationError, match="delta_g_rms"):
+            self._model(c, 0.05)
+
 
 class TestTruncationTime:
     def test_two_spin_value(self):

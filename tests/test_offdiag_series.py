@@ -108,3 +108,95 @@ def test_series_and_kernel_property_under_raise(t):
     want = float(kernels.trig_product(2.0 * model.couplings, t)[0])
     if min(abs(f), abs(want)) > 1e-280:
         assert abs(f / want - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------------ recurrences
+
+
+def _mp_recurrence(model, nu):
+    """|prod_n cos(2 g_n t_nu)| at the exact t_nu = nu pi/(2g), 40 digits."""
+    with mpmath.workdps(40):
+        t = nu * mpmath.pi / (2 * mpmath.mpf(model.g))
+        return float(mpmath.fprod(abs(mpmath.cos(2 * mpmath.mpf(float(c)) * t))
+                                  for c in model.couplings))
+
+
+def test_recurrences_past_the_radius_match_mpmath():
+    model = cw.build_model(400, 0.7, 0.1, 2)
+    peaks = cw.recurrence_profile(model, 4)
+    # the deviation angles of the first peak already leave the series
+    d_max = float(np.max(np.abs(model.couplings - model.g)))
+    assert 2.0 * d_max * peaks[0].time > cw._series_radius(model.N)
+    for p in peaks:
+        assert abs(p.measured / _mp_recurrence(model, p.nu) - 1.0) <= 1e-12
+
+
+def test_recurrence_series_at_large_n_matches_mpmath():
+    model = cw.build_model(10**5, 1.0, 0.001, 7)
+    peaks = cw.recurrence_profile(model, 4)
+    d_max = float(np.max(np.abs(model.couplings - model.g)))
+    assert 2.0 * d_max * peaks[-1].time <= cw._series_radius(model.N)
+    # the deepest peak has the largest deviation angles
+    assert abs(peaks[-1].measured / _mp_recurrence(model, 4) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 16, 1000])
+def test_zero_spread_recurs_exactly(n):
+    model = cw.build_model(n, 0.3)
+    with np.errstate(all="raise"):
+        peaks = cw.recurrence_profile(model, 6)
+    assert [p.measured for p in peaks] == [1.0] * 6
+    assert [p.predicted for p in peaks] == [1.0] * 6
+
+
+# ------------------------------------------------------------ small cascades
+
+
+@pytest.mark.parametrize("n, case", [
+    (12, "holds_max"),     # the subset holds the largest coupling
+    (11, "all_but_one"),   # k = N - 1: one cos factor left
+    (10, "all"),           # k = N: the empty cos product
+])
+def test_small_cascades_match_direct_product(n, case):
+    model = cw.build_model(n, 1.0, 0.1, 4)
+    top = int(np.argmax(model.couplings))
+    subset = {"holds_max": (top, (top + 5) % n),
+              "all_but_one": tuple(i for i in range(n) if i != top),
+              "all": tuple(range(n))}[case]
+    k = len(subset)
+    # a grid to twice the series switch of the N - k cos factors
+    t_switch = _switch_time(model, max(n - k, 1))
+    grid = np.linspace(0.0, 2.0 * t_switch, 41)[1:]
+    mask = np.zeros(n, dtype=bool)
+    mask[list(subset)] = True
+    env = kernels.trig_product_direct(2.0 * model.couplings, grid, sin_mask=mask)
+    cos_part = kernels.trig_product_direct(2.0 * model.couplings[~mask], grid)
+    cx, cy = cw.cascade_correlation(model, k, subset, grid)
+    ex, ey = cw._cascade_coefficients(model.r0, k)
+    np.testing.assert_allclose(cx, ex * env, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(cy, ey * env, rtol=1e-12, atol=0.0)
+    got = cw._cos_product(model.couplings, grid, drop=np.sort(subset))
+    series = grid <= t_switch
+    assert np.all((got[series] >= 0.0) & (got[series] <= 1.0))
+    assert _rel(got, cos_part) <= 1e-12
+    if k == n:
+        assert np.all(got == 1.0)
+
+
+def test_cos_part_of_one_tiny_coupling_stays_at_most_one():
+    # dropping all but a coupling 1e-9 times the largest leaves power sums
+    # at the rounding level of the full ones; their difference must not
+    # turn a log F term positive
+    n, tiny = 1000, 7
+    for seed in range(20):
+        c = 1.0 + 0.1 * np.random.default_rng(seed).standard_normal(n)
+        c[tiny] = 1e-9
+        g = float(c.mean())
+        model = cw.CurieWeissModel(N=n, g=g, couplings=c,
+                                   delta_g_rms=float(np.sqrt(np.mean((c - g) ** 2))),
+                                   seed=None, r0=bloch_state((1, 0, 0)))
+        grid = np.linspace(0.0, cw._series_radius(1) / (2.0 * c.max()), 50)
+        got = cw._cos_product(model.couplings, grid, drop=np.delete(np.arange(n), tiny))
+        assert np.all((got >= 0.0) & (got <= 1.0)), seed
+        # the subtraction leaves an error of about eps |log F| of all the factors
+        np.testing.assert_allclose(got, np.cos(2e-9 * grid), rtol=1e-13, atol=0.0)

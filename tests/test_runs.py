@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmeas import equilibrium as eq
 from qmeas import runs
@@ -269,3 +271,70 @@ class TestMergeAndBalance:
         _, gain = runs.info_balance(r0, tested)
         s_after = vn_entropy(runs.unread_reduction(r0, tested))
         assert gain == pytest.approx(s_after, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3])
+def test_luders_branch_of_a_small_weight_is_a_state(eps):
+    # the sectors are rotated, so pi r0 pi carries rounding on the scale of
+    # r0 that is far above p ~ eps^2
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    tested = runs.TestedObservable((0.0, 1.0), (np.outer(q[:, 0], q[:, 0].conj()),
+                                                q[:, 1:] @ q[:, 1:].conj().T))
+    tail = q[:, 1] + 0.5 * q[:, 2]
+    psi = q[:, 0] + eps * tail
+    r0 = DensityOperator(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    branch = runs.luders_branch(r0, tested, 1)
+    assert branch.p == pytest.approx(1.25 * eps**2 / (1.0 + 1.25 * eps**2), rel=1e-2)
+    assert _is_state(branch.r)
+    # r0's entries carry rounding of about 1e-16, which fixes the branch
+    # state only to about 1e-16/p
+    want = np.outer(tail, tail.conj()) / 1.25
+    assert np.max(np.abs(branch.r.matrix - want)) <= 1e-15 / branch.p
+
+
+# ------------------------------------------------------------ properties
+
+_entry = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _state_and_tested(draw):
+    """A density operator and a projective observable of dimension 2-4.
+
+    The state is A A^dagger / tr; the projectors group the columns of the Q
+    factor of a second matrix into 1..dim sectors.
+    """
+    dim = draw(st.integers(2, 4))
+    a, b = (np.array(draw(st.lists(_entry, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+            .reshape(2, dim, dim) for _ in range(2))
+    m = (a[0] + 1j * a[1]) @ (a[0] + 1j * a[1]).conj().T
+    tr = float(np.trace(m).real)
+    assume(tr > 1e-150)  # A A^dagger of a tinier A underflows while it is built
+    q, _ = np.linalg.qr(b[0] + 1j * b[1])
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1)))
+    groups = np.split(np.arange(dim), cuts)
+    projs = tuple(q[:, g] @ q[:, g].conj().T for g in groups)
+    tested = runs.TestedObservable(tuple(float(i) for i in range(len(groups))), projs)
+    return DensityOperator(m / tr), tested
+
+
+def _is_state(r):
+    rho = np.asarray(r.matrix)
+    return (abs(np.trace(rho) - 1.0) <= 1e-12
+            and float(np.linalg.eigvalsh(rho)[0]) >= -1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_state_and_tested())
+def test_property_reductions_are_states_under_raise(case):
+    r0, tested = case
+    with np.errstate(all="raise"):
+        unread = runs.unread_reduction(r0, tested)
+        weights = runs.born_weights(r0, tested)
+        branches = [runs.von_neumann_branch(tested, i).r for i in range(len(weights))]
+        for i, p in enumerate(weights):
+            if p > 1e-14:
+                branches.append(runs.luders_branch(r0, tested, i).r)
+        assert _is_state(unread)
+        assert all(_is_state(r) for r in branches)
