@@ -1,7 +1,7 @@
-"""Pure-numpy fallback for the hot product kernels.
+"""The trig-product kernel, in numpy; qmeas.kernels threads and validates it.
 
-Same contract as the compiled extension in _kernels.pyx; selected by
-qmeas.kernels when the extension is unavailable or QMEAS_PURE_PYTHON is set.
+Numpy's errstate applies as the caller set it: a subnormal angle raises under
+errstate(all="raise"); the final exp never raises (see trig_product).
 """
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ def trig_product(coeffs: np.ndarray, times: np.ndarray, sin_mask=None) -> np.nda
                 zero |= z
             np.log(tile, out=tile)
             logmag += tile.sum(axis=1)
-        # libm exp, as in the compiled path: below about -708 the result
-        # is a subnormal or 0.0, and no floating-point flag is raised
+        # libm exp: below about -708 the result is a subnormal or 0.0, and
+        # no floating-point flag is raised
         out[r0:r0 + t.size] = [
             0.0 if zr else (-math.exp(lm) if ng & 1 else math.exp(lm))
             for lm, ng, zr in zip(logmag.tolist(), neg.tolist(), zero.tolist())

@@ -125,13 +125,13 @@ def pure_overlap(v1, v2) -> float:
 def ambiguity_witness(v, d1, d2) -> AmbiguityReport:
     """Decompose one interior point along two non-parallel chords and certify
     that the resulting pure components differ."""
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
-    cross = np.linalg.norm(np.cross(d1, d2))
-    if cross <= 1e-12 * (np.linalg.norm(d1) * np.linalg.norm(d2)):
-        raise ValidationError("directions are parallel: same chord, no ambiguity witness")
     first = chord_decomposition(v, d1)
     second = chord_decomposition(v, d2)
+    # on the unit directions: the cross product of tiny raw ones underflows
+    with np.errstate(under="ignore"):
+        cross = np.linalg.norm(np.cross(first.direction, second.direction))
+    if cross <= 1e-12:
+        raise ValidationError("directions are parallel: same chord, no ambiguity witness")
     points = [first.v1, first.v2, second.v1, second.v2]
     overlaps = np.empty((4, 4))
     for i in range(4):

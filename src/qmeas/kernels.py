@@ -1,14 +1,18 @@
-"""Kernel dispatch: compiled extension when importable, numpy fallback otherwise.
-
-Set QMEAS_PURE_PYTHON=1 to force the fallback (useful for cross-checking the
-two implementations and for platforms without a C toolchain).
+"""Threaded entry point for the trig-product kernel in _kernels_py.
 
 trig_product is the one place the kernel runs in parallel.  A call with more
 than one tile of work (coeffs.size * times.size > _kernels_py._CHUNK) is split
-into contiguous slices of times, run on up to max_workers() threads; both
-backends release the GIL while they compute.  Each time's result depends only
-on that time, so the output is bit-identical for every thread count.  A call
-with at most one tile stays on the calling thread.
+into contiguous slices of times, run on up to max_workers() threads; numpy
+releases the GIL while it computes.  Each time's result depends only on that
+time, so the output is bit-identical for every thread count.  A call with at
+most one tile stays on the calling thread.
+
+Floating-point errors follow the caller's numpy errstate, in every worker
+thread: under errstate(all="raise") a subnormal angle coeffs[n] * t raises
+FloatingPointError (underflow), while a product that underflows in the log
+domain still comes back as a clean subnormal or 0.0.  Callers that accept
+tiny angles wrap the call in errstate(under="ignore"), as
+curie_weiss.cascade_correlation does for its sine factors.
 """
 from __future__ import annotations
 
@@ -21,19 +25,9 @@ import numpy as np
 from . import _kernels_py
 from .errors import ValidationError
 
-if os.environ.get("QMEAS_PURE_PYTHON", "").strip() not in ("", "0"):
-    _impl = _kernels_py
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-
-        HAVE_COMPILED = True
-    except ImportError:
-        _impl = _kernels_py
-        HAVE_COMPILED = False
-
-BACKEND = "compiled" if HAVE_COMPILED else "pure-python"
+# one backend; kept as constants because the benchmark probe reads them
+BACKEND = "pure-python"
+HAVE_COMPILED = False
 
 
 def max_workers() -> int:
@@ -72,18 +66,18 @@ def trig_product(coeffs, times, sin_mask=None) -> np.ndarray:
     tiles = -(-(c.size * t.size) // _kernels_py._CHUNK)
     workers = min(max_workers(), tiles, t.size)
     if workers <= 1:
-        return _impl.trig_product(c, t, m)
+        return _kernels_py.trig_product(c, t, m)
     step = -(-t.size // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # numpy keeps errstate in a context variable that a pool thread does
         # not inherit: run each slice in a copy of the caller's context
-        futures = [pool.submit(contextvars.copy_context().run, _impl.trig_product,
+        futures = [pool.submit(contextvars.copy_context().run, _kernels_py.trig_product,
                                c, t[lo:lo + step], m)
                    for lo in range(0, t.size, step)]
         return np.concatenate([f.result() for f in futures])
 
 
 def trig_product_direct(coeffs, times, sin_mask=None) -> np.ndarray:
-    """Reference direct product (always pure numpy); for agreement checks."""
+    """Reference direct product, with no log domain; for agreement checks."""
     c, t, m = _prepare(coeffs, times, sin_mask)
     return _kernels_py.trig_product_direct(c, t, m)

@@ -116,6 +116,16 @@ class TestAmbiguityWitness:
         with pytest.raises(ValidationError):
             amb.ambiguity_witness([0, 0, 0.5], [1, 0, 0], [-1, 0, 0])
 
+    def test_tiny_direction_is_not_parallel(self):
+        # the raw cross product (0, 1e-200, 0) has an underflowing norm
+        with np.errstate(all="raise"):
+            rep = amb.ambiguity_witness([0, 0, 0], [0, 0, 1e-200], [1, 0, 0])
+        assert rep.contradiction
+        assert np.array_equal(rep.first.direction, [0, 0, 1])
+        assert np.allclose(rep.overlaps[:2, 2:], 0.5, atol=1e-12)
+        with pytest.raises(ValidationError, match="parallel"):
+            amb.ambiguity_witness([0, 0, 0], [0, 0, 1e-200], [0, 0, -3])
+
     def test_classical_axis_has_unique_extremes(self):
         # along the diagonal axis the only extreme split is the +-z pair;
         # a transverse chord exits the classical segment entirely

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,33 +45,14 @@ def _reference_trig_product(coeffs, times, sin_mask=None):
     return out
 
 
-def _random_case(rng, n, t_count, masked):
-    coeffs = rng.uniform(0.5, 1.5, size=n)
-    times = rng.uniform(0.0, 3.0, size=t_count)
-    mask = rng.integers(0, 2, size=n).astype(np.uint8) if masked else None
-    return coeffs, times, mask
-
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_backends_agree(rng, masked):
-    if not kernels.HAVE_COMPILED:
-        pytest.skip("compiled backend unavailable")
-    coeffs, times, mask = _random_case(rng, 501, 64, masked)
-    a = kernels.trig_product(coeffs, times, mask)
-    b = py_trig_product(coeffs, times, mask)
-    # below ~1e-280 the exponential re-entry is subnormal-limited, so only
-    # compare relative error where the value is comfortably representable
-    keep = np.abs(b) > 1e-280
-    assert keep.any()
-    assert np.allclose(a[keep], b[keep], rtol=1e-12, atol=0.0)
-    assert np.allclose(a[~keep], b[~keep], rtol=1e-6, atol=1e-290)
-    assert np.array_equal(np.sign(a), np.sign(b))
+def _random_case(rng, n, t_count):
+    return rng.uniform(0.5, 1.5, size=n), rng.uniform(0.0, 3.0, size=t_count)
 
 
 def test_log_domain_matches_direct_product(rng):
     # agreement holds wherever the direct product has not underflowed
     for n in (10, 100, 1000):
-        coeffs, times, _ = _random_case(rng, n, 200, False)
+        coeffs, times = _random_case(rng, n, 200)
         lg = kernels.trig_product(coeffs, times)
         direct = kernels.trig_product_direct(coeffs, times)
         keep = np.abs(direct) > 1e-280
@@ -127,18 +110,22 @@ def test_shape_validation():
         kernels.trig_product(np.ones(4), np.array([0.0]), np.zeros(3, dtype=np.uint8))
 
 
-def test_env_var_forces_python_backend():
-    code = "import qmeas.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, QMEAS_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure-python"
-
-
 def test_default_backend_reported():
-    assert kernels.BACKEND in ("compiled", "pure-python")
-    if kernels.HAVE_COMPILED and not os.environ.get("QMEAS_PURE_PYTHON"):
-        assert kernels.BACKEND == "compiled"
+    # the benchmark probe records these names
+    assert kernels.BACKEND == "pure-python"
+    assert kernels.HAVE_COMPILED is False
+
+
+def test_benchmark_probe_starts():
+    # perfbench/probe.py imports qmeas names directly; a package change that
+    # drops one of them would stop the benchmark before its first job
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "probe.py")],
+                         cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert '"backend": "pure-python"' in out.stdout
+    assert json.loads(out.stdout)["kernel_gate"]["ok"] is True
 
 
 def _mask(rng, n, kind):
@@ -181,15 +168,14 @@ def test_thread_count_does_not_change_result(rng, monkeypatch):
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("QMEAS_THREADS", threads)
         results.append(kernels.trig_product(coeffs, times, mask))
-    serial = kernels._impl.trig_product(coeffs, times, mask)
+    serial = _kernels_py.trig_product(coeffs, times, mask)
     for out in results:
         assert np.array_equal(out, serial)
         assert np.array_equal(np.signbit(out), np.signbit(serial))
 
 
 def test_threaded_call_keeps_callers_errstate(monkeypatch):
-    # the numpy backend, threaded: coeffs * 1e-300 underflows to a subnormal
-    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    # threaded: coeffs * 1e-300 underflows to a subnormal
     monkeypatch.setenv("QMEAS_THREADS", "2")
     coeffs = np.full(1000, 1e-10)
     times = np.linspace(0.1, 3.0, 3000)
