@@ -17,28 +17,10 @@ from .errors import (
     QmeasError,
     ValidationError,
 )
-from .qstate import (
-    DensityOperator,
-    Observable,
-    bloch_state,
-    bloch_vector,
-    maximally_mixed,
-    merge,
-    partial_trace,
-    pure_state,
-    qexpect,
-    tensor,
-    trace_distance,
-    vn_entropy,
-)
 
-__all__ = [
-    "__version__",
-    "ConvergenceError",
-    "GuardError",
-    "InfeasibleError",
-    "QmeasError",
-    "ValidationError",
+# the qstate names load numpy, so they are served on first access (PEP 562):
+# `import qmeas` and `qmeas --version` stay on the standard library
+_QSTATE_EXPORTS = (
     "DensityOperator",
     "Observable",
     "bloch_state",
@@ -51,4 +33,26 @@ __all__ = [
     "tensor",
     "trace_distance",
     "vn_entropy",
+)
+
+__all__ = [
+    "__version__",
+    "ConvergenceError",
+    "GuardError",
+    "InfeasibleError",
+    "QmeasError",
+    "ValidationError",
+    *_QSTATE_EXPORTS,
 ]
+
+
+def __getattr__(name: str):
+    if name in _QSTATE_EXPORTS:
+        from . import qstate
+
+        return getattr(qstate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_QSTATE_EXPORTS))

@@ -9,32 +9,34 @@ subcommand accepts --selftest to run its quick built-in checks.
 
 Exit codes: 0 success, 1 failed selftest check, 2 configuration error,
 3 numerical guard tripped.
+
+Each subcommand imports numpy and the layers it runs inside its own
+functions, after the arguments are parsed: `qmeas --version` and `--help`
+load no numpy, and a subcommand loads only its own layers.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import io
 import json
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import __version__, ambiguity, contextuality, curie_weiss, equilibrium, kernels, oracle, runs
+from . import __version__
 from .errors import GuardError, QmeasError, SelftestError, ValidationError
-from .qstate import (
-    DensityOperator,
-    Observable,
-    bloch_state,
-    bloch_vector,
-    maximally_mixed,
-    partial_trace,
-    qexpect,
-    tensor,
-    trace_distance,
-    vn_entropy,
-)
+
+_LAYERS = frozenset({"ambiguity", "contextuality", "curie_weiss", "equilibrium",
+                     "kernels", "oracle", "runs"})
+
+
+def __getattr__(name: str):
+    # cli.<layer> stays a valid name for the layer module, loaded on first use
+    if name in _LAYERS:
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _NAMED_BLOCH = {
     "+x": (1.0, 0.0, 0.0), "-x": (-1.0, 0.0, 0.0),
@@ -81,7 +83,10 @@ class ExperimentConfig:
         return out
 
 
-_max_workers = kernels.max_workers
+def _max_workers() -> int:
+    from . import kernels
+
+    return kernels.max_workers()
 
 
 def _parse_bloch(spec: str) -> tuple[float, float, float]:
@@ -135,6 +140,8 @@ def _emit(args, payload: dict, default_format: str) -> None:
 
 
 def _jsonable(obj):
+    import numpy as np
+
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -156,8 +163,10 @@ def _render_csv(payload: dict) -> str:
     lines = [f"# qmeas {__version__}"]
     if "columns" in payload and "rows" in payload:
         lines.append(",".join(payload["columns"]))
-        for row in payload["rows"]:
-            lines.append(",".join(_fmt(x) for x in row))
+        # "%" converts each value as float(x) does, so a row reads as its
+        # values through _fmt joined by commas
+        row_fmt = ",".join(["%.17g"] * len(payload["columns"]))
+        lines.extend([row_fmt % tuple(row) for row in payload["rows"]])
     else:
         lines.append("key,value")
         for k, v in _flatten_for_csv(payload):
@@ -166,6 +175,8 @@ def _render_csv(payload: dict) -> str:
 
 
 def _flatten_for_csv(obj, prefix=""):
+    import numpy as np
+
     items = []
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -186,12 +197,21 @@ def _flatten_for_csv(obj, prefix=""):
     return items
 
 
-def _model_from_args(args) -> curie_weiss.CurieWeissModel:
+def _model_from_args(args):
+    from . import curie_weiss
+    from .qstate import bloch_state
+
     r0 = bloch_state(_parse_bloch(args.r0))
     return curie_weiss.build_model(args.N, args.g, args.delta_g_rel, args.seed, r0)
 
 
-def _grid_from_args(model, args) -> np.ndarray:
+def _grid_from_args(model, args):
+    import numpy as np
+
+    from . import curie_weiss
+
+    if args.points < 1:
+        raise ValidationError("--points must be at least 1")
     tau = curie_weiss.truncation_time(model)
     return np.linspace(0.0, args.tmax_tau * tau, args.points)
 
@@ -206,15 +226,24 @@ def _check(cond, msg: str) -> None:
 
 
 def _cmd_truncate(args) -> dict:
+    import numpy as np
+
+    from . import curie_weiss
+
     model = _model_from_args(args)
     grid = _grid_from_args(model, args)
     res = curie_weiss.transverse_expectations(model, grid)
     env = res.sx0 * np.exp(-((grid / res.tau) ** 2))
-    rows = [[t, sx, sy, e] for t, sx, sy, e in zip(grid, res.sx, res.sy, env)]
+    rows = list(zip(grid.tolist(), res.sx.tolist(), res.sy.tolist(), env.tolist()))
     return {"columns": ["t", "sx", "sy", "gaussian_envelope"], "rows": rows}
 
 
 def _selftest_truncate():
+    import numpy as np
+
+    from . import curie_weiss, kernels
+    from .qstate import bloch_state
+
     model = curie_weiss.build_model(4, 1.0, 0.0, 0, bloch_state((0, 0, 1)))
     res = curie_weiss.transverse_expectations(model, np.linspace(0, 2, 50))
     _check(np.max(np.abs(res.sx)) == 0.0 and np.max(np.abs(res.sy)) == 0.0,
@@ -235,6 +264,9 @@ def _selftest_truncate():
 
 
 def _cmd_recur(args) -> dict:
+    from . import curie_weiss
+    from .qstate import bloch_state
+
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
     rows = []
@@ -250,6 +282,10 @@ def _cmd_recur(args) -> dict:
 
 
 def _selftest_recur():
+    import numpy as np
+
+    from . import curie_weiss
+
     model = curie_weiss.build_model(16, 1.0, 0.0, 0)
     peaks = curie_weiss.recurrence_profile(model, 3)
     _check(all(abs(p.measured - 1.0) <= 1e-12 for p in peaks), "equal couplings must recur fully")
@@ -258,15 +294,19 @@ def _selftest_recur():
 
 
 def _cmd_cascade(args) -> dict:
+    from . import curie_weiss
+
     model = _model_from_args(args)
     subset = _parse_ints(args.subset) if args.subset else list(range(args.k))
     grid = _grid_from_args(model, args)
     cx, cy = curie_weiss.cascade_correlation(model, args.k, subset, grid)
-    rows = [[t, a, b] for t, a, b in zip(grid, cx, cy)]
+    rows = list(zip(grid.tolist(), cx.tolist(), cy.tolist()))
     return {"columns": ["t", "corr_sx", "corr_sy"], "rows": rows}
 
 
 def _selftest_cascade():
+    from . import curie_weiss
+
     model = curie_weiss.build_model(5, 1.0)
     cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), 0.0)
     _check(cx == 0.0 and cy == 0.0, "cascade correlators must vanish at t = 0")
@@ -279,6 +319,9 @@ def _selftest_cascade():
 
 
 def _cmd_register(args) -> dict:
+    from . import equilibrium
+    from .qstate import Observable
+
     m = equilibrium.meanfield_magnetization(args.J, args.T, args.field)
     out = {
         "j": args.J,
@@ -303,6 +346,10 @@ def _cmd_register(args) -> dict:
 
 
 def _selftest_register():
+    import numpy as np
+
+    from . import equilibrium
+
     _check(equilibrium.meanfield_magnetization(1.0, 1.5) == 0.0, "no magnetization above T_C")
     _check(abs(equilibrium.meanfield_magnetization(1.0, 0.5, 50.0) - 1.0) < 1e-6,
            "a strong field must saturate m")
@@ -315,6 +362,9 @@ def _selftest_register():
 
 
 def _cmd_finalstate(args) -> dict:
+    from . import equilibrium, runs
+    from .qstate import bloch_state, vn_entropy
+
     pointer = equilibrium.build_curie_weiss_pointer(args.N, args.J, args.T,
                                                     reduced=args.reduced)
     tested = runs.sz_observable()
@@ -332,6 +382,11 @@ def _cmd_finalstate(args) -> dict:
 
 
 def _selftest_finalstate():
+    import numpy as np
+
+    from . import equilibrium, runs
+    from .qstate import bloch_state, tensor, trace_distance
+
     pointer = equilibrium.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
     tested = runs.sz_observable()
     up = bloch_state((0, 0, 1))
@@ -355,6 +410,9 @@ def _selftest_finalstate():
 
 
 def _cmd_born(args) -> dict:
+    from . import runs
+    from .qstate import bloch_state
+
     r0 = bloch_state(_parse_bloch(args.r0))
     tested = runs.sz_observable()
     p = runs.born_weights(r0, tested)
@@ -372,6 +430,11 @@ def _cmd_born(args) -> dict:
 
 
 def _selftest_born():
+    import numpy as np
+
+    from . import runs
+    from .qstate import bloch_state
+
     tested = runs.sz_observable()
     split = runs.sample_runs([1.0, 0.0], 100, 3)
     _check(split.counts == (100, 0), "p = (1, 0) must send every run to outcome 0")
@@ -383,6 +446,9 @@ def _selftest_born():
 
 
 def _cmd_reduce(args) -> dict:
+    from . import runs
+    from .qstate import bloch_state, bloch_vector, vn_entropy
+
     r0 = bloch_state(_parse_bloch(args.r0))
     tested = runs.sz_observable()
     if args.mode == "unread":
@@ -413,6 +479,11 @@ def _cmd_reduce(args) -> dict:
 
 
 def _selftest_reduce():
+    import numpy as np
+
+    from . import runs
+    from .qstate import bloch_state, bloch_vector, trace_distance, vn_entropy
+
     tested = runs.sz_observable()
     plus_x = bloch_state((1, 0, 0))
     b = runs.luders_branch(plus_x, tested, 0)
@@ -426,6 +497,8 @@ def _selftest_reduce():
 
 
 def _cmd_ambiguity(args) -> dict:
+    from . import ambiguity
+
     v = _parse_floats(args.v, 3, "v")
     d1 = _parse_floats(args.d1, 3, "d1")
     d2 = _parse_floats(args.d2, 3, "d2")
@@ -441,6 +514,10 @@ def _cmd_ambiguity(args) -> dict:
 
 
 def _selftest_ambiguity():
+    import numpy as np
+
+    from . import ambiguity
+
     dec = ambiguity.chord_decomposition((0, 0, 0), (0, 0, 1))
     _check(np.allclose(dec.v1, [0, 0, 1]) and np.allclose(dec.v2, [0, 0, -1]),
            "the z chord must end at the poles")
@@ -454,6 +531,11 @@ def _selftest_ambiguity():
 
 
 def _cmd_dispersionless(args) -> dict:
+    import numpy as np
+
+    from . import ambiguity
+    from .qstate import DensityOperator
+
     pops = np.asarray(_parse_floats(args.populations, name="populations"))
     state = DensityOperator(np.diag(pops.astype(np.complex128)))
     fam = ambiguity.dispersionless_family(state, rank_tol=args.rank_tol)
@@ -473,6 +555,11 @@ def _cmd_dispersionless(args) -> dict:
 
 
 def _selftest_dispersionless():
+    import numpy as np
+
+    from . import ambiguity
+    from .qstate import Observable, bloch_state, maximally_mixed
+
     z_up = bloch_state((0, 0, 1))
     sz = Observable(np.diag([1.0 + 0j, -1.0]))
     _check(ambiguity.is_dispersionless(z_up, sz), "+z must be dispersionless for s_z")
@@ -483,6 +570,8 @@ def _selftest_dispersionless():
 
 
 def _cmd_chsh(args) -> dict:
+    from . import contextuality
+
     if args.state != "singlet":
         raise ValidationError("only --state singlet is defined")
     state = contextuality.singlet_state()
@@ -501,6 +590,10 @@ def _cmd_chsh(args) -> dict:
 
 
 def _selftest_chsh():
+    import numpy as np
+
+    from . import contextuality
+
     state = contextuality.singlet_state()
     z = np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.0, 0.0])
@@ -513,6 +606,10 @@ def _selftest_chsh():
 
 
 def _cmd_feasible(args) -> dict:
+    import numpy as np
+
+    from . import contextuality
+
     corr = np.asarray(_parse_floats(args.correlators, 4, "correlators")).reshape(2, 2)
     ma = _parse_floats(args.marginals_a, 2, "marginals_a") if args.marginals_a else None
     mb = _parse_floats(args.marginals_b, 2, "marginals_b") if args.marginals_b else None
@@ -533,6 +630,10 @@ def _cmd_feasible(args) -> dict:
 
 
 def _selftest_feasible():
+    import numpy as np
+
+    from . import contextuality
+
     flat = contextuality.CorrelatorTable(np.zeros((2, 2)))
     res = contextuality.joint_distribution_feasible(flat)
     _check(res.feasible, "the zero table must be feasible")
@@ -553,6 +654,8 @@ def _selftest_feasible():
 
 
 def _cmd_oracle_check(args) -> dict:
+    from . import curie_weiss, oracle
+
     model = _model_from_args(args)
     grid = _grid_from_args(model, args)
     subsets = [tuple(range(k)) for k in range(1, min(3, model.N) + 1)]
@@ -580,6 +683,11 @@ def _cmd_oracle_check(args) -> dict:
 
 
 def _selftest_oracle_check():
+    import numpy as np
+
+    from . import curie_weiss, oracle
+    from .qstate import bloch_state
+
     model = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     sb = oracle.sector_blocks_at(model, 0.0)
     eye = np.eye(4) / 4.0
@@ -593,19 +701,24 @@ def _selftest_oracle_check():
 
 
 def _cmd_appc_report(args) -> dict:
+    from . import oracle
+
     model = _model_from_args(args)
     grid = _grid_from_args(model, args)
     rep = oracle.appendix_c_report(oracle.iter_sector_blocks(model, grid))
     cols = ["t", "invariant_deviation", "sx"]
-    series = [rep.times, rep.invariant_deviation, rep.sx]
+    series = [rep.times.tolist(), rep.invariant_deviation.tolist(), rep.sx.tolist()]
     for k in sorted(rep.correlators):
         cols.append(f"cascade_{k}")
-        series.append(rep.correlators[k])
-    rows = [list(vals) for vals in zip(*series)]
+        series.append(rep.correlators[k].tolist())
+    rows = list(zip(*series))
     return {"columns": cols, "rows": rows}
 
 
 def _selftest_appc_report():
+    from . import curie_weiss, oracle
+    from .qstate import bloch_state
+
     model1 = curie_weiss.build_model(1, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     rep1 = oracle.appendix_c_report(oracle.iter_sector_blocks(model1, [0.0, 0.1]))
     _check(rep1.no_macroscopic_limit, "N = 1 must be flagged as having no macroscopic limit")

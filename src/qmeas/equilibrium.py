@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curie_weiss import weighted_magnetization_diag
 from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError
 from .qstate import DensityOperator, Observable, diagonal_or_none, qexpect
 
@@ -409,6 +408,9 @@ def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
     if n_spins < 1:
         raise ValidationError("need at least one spin")
     _full_space_guard(n_spins)
+    # only the full representation needs curie_weiss (and through it kernels)
+    from .curie_weiss import weighted_magnetization_diag
+
     m = weighted_magnetization_diag(np.ones(n_spins))
     h = -(j / (2.0 * n_spins)) * m**2
     return Observable(diagonal=h), Observable(diagonal=m)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,6 +66,9 @@ def trig_product(coeffs, times, sin_mask=None) -> np.ndarray:
     workers = min(max_workers(), tiles, t.size)
     if workers <= 1:
         return _kernels_py.trig_product(c, t, m)
+    # concurrent.futures pulls in logging (~10 ms); only a tiled call pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
     step = -(-t.size // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # numpy keeps errstate in a context variable that a pool thread does

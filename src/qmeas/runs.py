@@ -142,6 +142,14 @@ def born_weights(r0: DensityOperator, tested: TestedObservable) -> np.ndarray:
     return ps
 
 
+def _outcome_projector(tested: TestedObservable, i: int) -> np.ndarray:
+    # a negative index would silently pick an outcome from the end
+    n = len(tested.projectors)
+    if not 0 <= i < n:
+        raise ValidationError(f"outcome {i} outside 0..{n - 1}")
+    return tested.projectors[i]
+
+
 def luders_branch(r0: DensityOperator, tested: TestedObservable, i: int) -> OutcomeBranch:
     """Branch pi_i r0 pi_i / p_i; an explicit error at p_i = 0.
 
@@ -150,7 +158,7 @@ def luders_branch(r0: DensityOperator, tested: TestedObservable, i: int) -> Outc
     while rounding in pi_i r0 pi_i is on the scale of r0 and, divided by a
     small p_i, breaks the Hermitian and positivity checks.
     """
-    proj = tested.projectors[i]
+    proj = _outcome_projector(tested, i)
     with np.errstate(under="ignore"):  # tiny entries round to 0
         p = float(np.trace(proj @ r0.matrix @ proj).real)
         if p <= 1e-14:
@@ -165,7 +173,7 @@ def luders_branch(r0: DensityOperator, tested: TestedObservable, i: int) -> Outc
 
 def von_neumann_branch(tested: TestedObservable, i: int) -> OutcomeBranch:
     """Maximally random sector state pi_i / rank(pi_i); needs no input state."""
-    proj = tested.projectors[i]
+    proj = _outcome_projector(tested, i)
     rank = float(np.trace(proj).real)
     with np.errstate(under="ignore"):  # tiny entries round to 0
         r = proj / rank

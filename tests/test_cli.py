@@ -119,6 +119,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qmeas: config:") and "finite" in err
 
+    @pytest.mark.parametrize("mode", ["luders", "von-neumann"])
+    @pytest.mark.parametrize("outcome", ["5", "-1"])
+    def test_reduce_outcome_out_of_range_maps_to_2(self, capsys, mode, outcome):
+        # -1 must not pick the last outcome through negative indexing
+        code, out, err = run_cli(capsys, "reduce", "--mode", mode, f"--outcome={outcome}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "outcome" in err
+
+    @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_maps_to_2(self, capsys, command, points):
+        # zero points would pass oracle-check vacuously
+        code, out, err = run_cli(capsys, command, "--N", "2", f"--points={points}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "--points" in err
+
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
         def no_root(*args, **kwargs):
             raise ConvergenceError("no root in bracket")
@@ -224,6 +242,15 @@ class TestOutputs:
                                      pytest.approx(0.7104117834878704, abs=1e-9)]
         assert data["g_threshold"] == pytest.approx(0.06224413545227514, abs=2e-6)
 
+    def test_csv_rows_render_as_fmt_join(self):
+        # the one-format-per-row renderer must read as _fmt on every value
+        rows = [[0, np.int64(3), -0.0, np.float64(-0.0)],
+                [np.inf, -np.inf, np.float32(0.1), 1e300],
+                [5e-324, np.float64(1.0) / 3.0, 12345678901234567, True]]
+        text = cli._render_csv({"columns": ["a", "b", "c", "d"], "rows": rows})
+        body = strip_version_header(text).splitlines()
+        assert body == ["a,b,c,d"] + [",".join(cli._fmt(x) for x in row) for row in rows]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -246,6 +273,52 @@ def test_cli_import_leaves_scipy_unloaded():
     version, loaded = out.stdout.splitlines()
     assert version.startswith("qmeas ")
     assert loaded == "[]"
+
+
+def _run_and_list_modules(argv):
+    script = ("import contextlib, io, json, sys\n"
+              "from qmeas import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    try:\n"
+              f"        code = cli.main({argv!r})\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--version"], {"numpy"}),
+    (["chsh"], {"qmeas.curie_weiss", "qmeas.equilibrium", "qmeas.oracle", "qmeas.runs"}),
+    (["born", "--runs", "1000"], {"qmeas.curie_weiss", "qmeas.contextuality"}),
+    (["truncate", "--N", "1000", "--points", "50"],
+     {"concurrent.futures", "qmeas.equilibrium", "qmeas.oracle"}),
+    (["register", "--N", "200"], {"qmeas.curie_weiss"}),
+], ids=["version", "chsh", "born", "truncate", "register"])
+def test_command_loads_only_its_layers(argv, absent):
+    # the fixed cost of a job is the code that job runs
+    code, loaded = _run_and_list_modules(argv)
+    assert code == 0
+    assert not absent & loaded
+
+
+def test_package_exports_resolve():
+    import qmeas
+    from qmeas import errors, qstate
+
+    for name in qmeas.__all__:
+        if name != "__version__":
+            home = qstate if hasattr(qstate, name) else errors
+            assert getattr(qmeas, name) is getattr(home, name), name
+    star = {}
+    exec("from qmeas import *", star)
+    assert set(qmeas.__all__) <= set(star)
+    assert set(qmeas.__all__) <= set(dir(qmeas))
+    with pytest.raises(AttributeError):
+        getattr(qmeas, "no_such_name")
 
 
 @pytest.mark.parametrize("argv", [["register", "--N", "200"], ["finalstate", "--N", "10"]])
