@@ -169,51 +169,45 @@ def _render_csv(payload: dict) -> str:
         lines.extend([row_fmt % tuple(row) for row in payload["rows"]])
     else:
         lines.append("key,value")
-        for k, v in _flatten_for_csv(payload):
+        for k, v in _flatten_for_csv(_jsonable(payload)):
             lines.append(f"{k},{v}")
     return "\n".join(lines) + "\n"
 
 
 def _flatten_for_csv(obj, prefix=""):
-    import numpy as np
-
+    """(key, text) pairs of a _jsonable tree; keys join the path with dots."""
     items = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            items.extend(_flatten_for_csv(v, f"{prefix}{k}." if prefix else f"{k}."))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        for i, v in enumerate(np.asarray(obj).tolist() if isinstance(obj, np.ndarray) else obj):
+            items.extend(_flatten_for_csv(v, f"{prefix}{k}."))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
             items.extend(_flatten_for_csv(v, f"{prefix}{i}."))
     else:
         key = prefix[:-1]
         if isinstance(obj, bool):
             items.append((key, str(obj).lower()))
-        elif isinstance(obj, (int, np.integer)):
-            items.append((key, str(int(obj))))
-        elif isinstance(obj, (float, np.floating)):
+        elif isinstance(obj, float):
             items.append((key, _fmt(obj)))
         else:
             items.append((key, str(obj)))
     return items
 
 
-def _model_from_args(args):
-    from . import curie_weiss
-    from .qstate import bloch_state
-
-    r0 = bloch_state(_parse_bloch(args.r0))
-    return curie_weiss.build_model(args.N, args.g, args.delta_g_rel, args.seed, r0)
-
-
-def _grid_from_args(model, args):
+def _model_and_grid(args):
+    """The model and time grid of truncate, cascade, oracle-check and
+    appc-report; --points is checked before any coupling is drawn."""
     import numpy as np
 
     from . import curie_weiss
+    from .qstate import bloch_state
 
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
+    r0 = bloch_state(_parse_bloch(args.r0))
+    model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, args.seed, r0)
     tau = curie_weiss.truncation_time(model)
-    return np.linspace(0.0, args.tmax_tau * tau, args.points)
+    return model, np.linspace(0.0, args.tmax_tau * tau, args.points)
 
 
 def _check(cond, msg: str) -> None:
@@ -230,8 +224,7 @@ def _cmd_truncate(args) -> dict:
 
     from . import curie_weiss
 
-    model = _model_from_args(args)
-    grid = _grid_from_args(model, args)
+    model, grid = _model_and_grid(args)
     res = curie_weiss.transverse_expectations(model, grid)
     env = res.sx0 * np.exp(-((grid / res.tau) ** 2))
     rows = list(zip(grid.tolist(), res.sx.tolist(), res.sy.tolist(), env.tolist()))
@@ -296,9 +289,8 @@ def _selftest_recur():
 def _cmd_cascade(args) -> dict:
     from . import curie_weiss
 
-    model = _model_from_args(args)
+    model, grid = _model_and_grid(args)
     subset = _parse_ints(args.subset) if args.subset else list(range(args.k))
-    grid = _grid_from_args(model, args)
     cx, cy = curie_weiss.cascade_correlation(model, args.k, subset, grid)
     rows = list(zip(grid.tolist(), cx.tolist(), cy.tolist()))
     return {"columns": ["t", "corr_sx", "corr_sy"], "rows": rows}
@@ -656,8 +648,7 @@ def _selftest_feasible():
 def _cmd_oracle_check(args) -> dict:
     from . import curie_weiss, oracle
 
-    model = _model_from_args(args)
-    grid = _grid_from_args(model, args)
+    model, grid = _model_and_grid(args)
     subsets = [tuple(range(k)) for k in range(1, min(3, model.N) + 1)]
     res = curie_weiss.transverse_expectations(model, grid)
     f_analytic = curie_weiss.offdiag_factor(model, grid)
@@ -703,8 +694,7 @@ def _selftest_oracle_check():
 def _cmd_appc_report(args) -> dict:
     from . import oracle
 
-    model = _model_from_args(args)
-    grid = _grid_from_args(model, args)
+    model, grid = _model_and_grid(args)
     rep = oracle.appendix_c_report(oracle.iter_sector_blocks(model, grid))
     cols = ["t", "invariant_deviation", "sx"]
     series = [rep.times.tolist(), rep.invariant_deviation.tolist(), rep.sx.tolist()]

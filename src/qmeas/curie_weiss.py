@@ -31,15 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import GuardError, ValidationError
+from .errors import ValidationError, guard_bytes
 from .qstate import SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect
 
 # largest N for the analytic (product-form) path; beyond this the per-call
 # cost and coupling storage stop being interactive
 ANALYTIC_N_MAX = 10**7
-
-# largest N for dense 2^N materializations
-DENSE_N_MAX = 12
 
 # a_k of log cos x = sum_k a_k x^(2k), k = 1..K:
 # a_k = (-1)^k 2^(2k-1) (2^(2k)-1) B_2k / (k (2k)!)
@@ -341,8 +338,8 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
 def weighted_magnetization_diag(couplings) -> np.ndarray:
     """Eigenvalues of sum_n g_n sigma_z^(n) over the 2^N computational basis.
 
-    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N:
-    the dense oracle by DENSE_N_MAX, the full pointer by its byte guard.
+    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N
+    with errors.guard_bytes before they call it.
     """
     c = np.asarray(couplings, dtype=np.float64)
     N = c.size
@@ -357,10 +354,11 @@ def joint_offdiag_block(model: CurieWeissModel, t: float) -> np.ndarray:
     """Dense up-down magnet block R(t): diagonal phases exp(+2i m_a t)/2^N.
 
     m_a are the weighted-magnetization eigenvalues; tr R(t) = F(t) and
-    R R-dagger = I/2^(2N) at every t.  Guarded to N <= 12.
+    R R-dagger = I/2^(2N) at every t.  Refused from N = 13, where its one
+    complex 4^N matrix passes errors.BYTES_BUDGET.
     """
-    if model.N > DENSE_N_MAX:
-        raise GuardError(f"joint_offdiag_block limited to N <= {DENSE_N_MAX}")
+    guard_bytes(16 * 4**model.N, "joint_offdiag_block's 4^N matrix",
+                "use offdiag_factor for tr R(t)")
     m = weighted_magnetization_diag(model.couplings)
     return np.diag(np.exp(2.0j * float(t) * m) / 2.0**model.N)
 

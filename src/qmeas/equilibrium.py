@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError, guard_bytes
 from .qstate import DensityOperator, Observable, diagonal_or_none, qexpect
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
 _LOGZ_CAP = 700.0
-# refuse full 2^N pointers whose vectors would pass ~1 GB (N = 23 and up)
-_FULL_BYTES_MAX = 1_000_000_000
 # float64 2^N vectors alive at the peak: 13.3 in the pointer build, 15 with
-# its s_z joint state and entropy (tracemalloc, N = 16..20)
+# its s_z joint state and entropy (tracemalloc, N = 16..20); the byte budget
+# refuses the full pointer from N = 23
 _FULL_VECTORS = 16
 
 
@@ -395,19 +394,13 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
         "finite-size failure of the weak-source limit, reporting the last value" % r)
 
 
-def _full_space_guard(n_spins: int) -> None:
-    est = _FULL_VECTORS * 8 * 2**n_spins
-    if est > _FULL_BYTES_MAX:
-        raise GuardError("full-representation pointer would need ~%.1f GB of 2^N vectors; "
-                         "use reduced=True" % (est / 1e9))
-
-
 def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
     """H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space, stored as
     their diagonals; sizes past the full pointer's byte guard are refused."""
     if n_spins < 1:
         raise ValidationError("need at least one spin")
-    _full_space_guard(n_spins)
+    guard_bytes(_FULL_VECTORS * 8 * 2**n_spins, "full-representation pointer's 2^N vectors",
+                "use reduced=True")
     # only the full representation needs curie_weiss (and through it kernels)
     from .curie_weiss import weighted_magnetization_diag
 
@@ -457,7 +450,9 @@ class DiagonalMatrices(Sequence):
         self.diagonals = tuple(vecs)
 
     def __getitem__(self, i) -> np.ndarray:
-        m = np.diag(self.diagonals[i].astype(np.complex128))
+        d = self.diagonals[i]
+        guard_bytes(16 * d.size**2, "a dense diagonal matrix", "read .diagonals")
+        m = np.diag(d.astype(np.complex128))
         m.setflags(write=False)
         return m
 

@@ -9,6 +9,8 @@ kept as its length-2^N diagonal; only a non-diagonal magnet Hamiltonian
 leads to dense blocks.  Everything the analytic layer claims (F, transverse
 series, cascade correlators) is recomputed here from the 2^N basis sums and
 compared at small N.
+
+Sizes are bounded by errors.guard_bytes: the diagonal path reaches N = 22.
 """
 from __future__ import annotations
 
@@ -18,16 +20,20 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .curie_weiss import (
-    DENSE_N_MAX,
-    CurieWeissModel,
-    weighted_magnetization_diag,
-)
-from .errors import GuardError, ValidationError
+from .curie_weiss import CurieWeissModel, weighted_magnetization_diag
+from .errors import ValidationError, guard_bytes
 from .qstate import DensityOperator, diagonal_or_none
 
-# refuse list-returning dense runs past ~1.5 GB of block storage
-_DENSE_BYTES_MAX = 1_500_000_000
+# complex128 2^N vectors alive at the peak of a streamed diagonal pass: 12
+# for the propagators and one time's blocks, 12.6 with block_expectations or
+# appendix_c_report consuming them (tracemalloc, N = 14..18)
+_DIAG_VECTORS = 13
+# complex128 4^N matrices alive at the peak of the eigh path, over the
+# caller's magnet Hamiltonian (tracemalloc, N = 6, 8)
+_EIGH_MATRICES = 13
+# complex128 4^N matrices alive in reconstruct_joint: the four blocks, the
+# 2^(N+1)-square joint and its validation (tracemalloc, N = 8, 9)
+_JOINT_MATRICES = 16
 
 _TRACE_TOL = 1e-12
 
@@ -47,7 +53,10 @@ class BlockMap(Mapping):
 
     def __getitem__(self, key) -> np.ndarray:
         b = self._stored[key]
-        return np.diag(b) if self.is_diagonal else b
+        if not self.is_diagonal:
+            return b
+        guard_bytes(16 * b.size**2, "a dense sector block", "read it with .diag(key)")
+        return np.diag(b)
 
     def __iter__(self):
         return iter(self._stored)
@@ -130,28 +139,26 @@ class _Propagators:
     """Per-sector generators prepared once, evaluated per time."""
 
     def __init__(self, model: CurieWeissModel, magnet_hamiltonian=None):
-        if model.N > DENSE_N_MAX:
-            raise GuardError(f"dense oracle limited to N <= {DENSE_N_MAX}")
         dim = 2**model.N
-        fields = _sector_fields(model)
+        d = None
+        if magnet_hamiltonian is not None:
+            if magnet_hamiltonian.dim != dim:
+                raise ValidationError("magnet_hamiltonian dimension mismatch")
+            d = diagonal_or_none(magnet_hamiltonian)
         self.dim = dim
-        if magnet_hamiltonian is None:
-            self.diagonal = True
-            self.k_diag = [f.copy() for f in fields]
+        self.diagonal = magnet_hamiltonian is None or d is not None
+        if self.diagonal:
+            guard_bytes(_DIAG_VECTORS * 16 * dim, "the dense oracle's 2^N vectors",
+                        "use the analytic layer at this N")
+            self.k_diag = [f if d is None else d.real + f for f in _sector_fields(model)]
             return
-        if magnet_hamiltonian.dim != dim:
-            raise ValidationError("magnet_hamiltonian dimension mismatch")
-        d = diagonal_or_none(magnet_hamiltonian)
-        if d is not None:
-            self.diagonal = True
-            self.k_diag = [d.real + f for f in fields]
-        else:
-            self.diagonal = False
-            h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
-            self.eigs = []
-            for f in fields:
-                vals, vecs = np.linalg.eigh(h_m + np.diag(f))
-                self.eigs.append((vals, vecs))
+        guard_bytes(_EIGH_MATRICES * 16 * dim**2, "the dense oracle's eigh path",
+                    "use a diagonal magnet Hamiltonian or a smaller N")
+        h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
+        self.eigs = []
+        for f in _sector_fields(model):
+            vals, vecs = np.linalg.eigh(h_m + np.diag(f))
+            self.eigs.append((vals, vecs))
 
     def unitaries(self, t: float) -> list[np.ndarray]:
         if self.diagonal:
@@ -195,15 +202,12 @@ def iter_sector_blocks(model: CurieWeissModel, times,
 def dense_joint_evolution(model: CurieWeissModel, times,
                           magnet_hamiltonian=None) -> list[SectorBlocks]:
     """Materialized block evolution; guarded by the bytes its blocks take
-    (2^N entries each on the diagonal path, 4^N otherwise).  Use
-    iter_sector_blocks for long grids at large N."""
+    (four blocks per time, 2^N entries each on the diagonal path, 4^N
+    otherwise).  Use iter_sector_blocks for long grids at large N."""
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     diagonal = magnet_hamiltonian is None or diagonal_or_none(magnet_hamiltonian) is not None
-    est = t.size * 4 * (2**model.N if diagonal else 4**model.N) * 16
-    if est > _DENSE_BYTES_MAX:
-        raise GuardError(
-            "dense evolution would need ~%.1f GB; use iter_sector_blocks" % (est / 1e9)
-        )
+    guard_bytes(t.size * 4 * (2**model.N if diagonal else 4**model.N) * 16,
+                "dense evolution", "use iter_sector_blocks")
     return list(iter_sector_blocks(model, t, magnet_hamiltonian))
 
 
@@ -215,6 +219,8 @@ def reconstruct_joint(sb: SectorBlocks, r0: DensityOperator) -> DensityOperator:
     if np.max(np.abs(w - sb.sector_weights)) > 1e-12:
         raise ValidationError("r0 disagrees with the weights stored in the blocks")
     dim_m = sb.blocks.diag((0, 0)).shape[0]
+    guard_bytes(_JOINT_MATRICES * 16 * dim_m**2, "the reassembled joint state",
+                "use block_expectations on the blocks")
     joint = np.block([[sb.blocks[(0, 0)], sb.blocks[(0, 1)]],
                       [sb.blocks[(1, 0)], sb.blocks[(1, 1)]]])
     return DensityOperator(joint, subsystem_dims=(2, dim_m))

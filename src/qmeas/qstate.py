@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, guard_bytes
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -100,7 +100,8 @@ class _Operator:
     diagonal of an operator diagonal in the computational basis, and .matrix
     builds the dense matrix on each read (as oracle.BlockMap does for its
     blocks), so code that reads .matrix keeps working while code that reads
-    .diagonal never builds it.
+    .diagonal never builds it.  A read whose matrix would pass
+    errors.BYTES_BUDGET raises GuardError instead.
     """
 
     __slots__ = ("_matrix", "_diagonal")
@@ -122,6 +123,8 @@ class _Operator:
     def matrix(self) -> np.ndarray:
         if self._diagonal is None:
             return self._matrix
+        guard_bytes(16 * self._diagonal.size**2, "the dense matrix of a diagonal-stored operator",
+                    "read .diagonal")
         m = np.diag(self._diagonal.astype(np.complex128))
         m.setflags(write=False)
         return m

@@ -90,8 +90,8 @@ def test_criterion_05_block_invariant_vs_transverse_decay():
     assert np.max(rep.invariant_deviation) <= 1e-12
     # with equal couplings the exact tail is s_x(4 tau) = cos(8 / sqrt(2N))^N:
     # 9.0e-4 at N = 8, -2.6e-10 at N = 11, and exp(-16) = 1.1e-7 as N -> inf,
-    # so the 1e-7 bound holds only for 11 <= N <= 731; under the dense cap of
-    # N <= 12, N = 11 is the cheaper of the two sizes that can meet it
+    # so the 1e-7 bound holds only for 11 <= N <= 731; N = 11 is the
+    # cheapest size that meets it
     assert abs(rep.sx[-1]) <= 1e-7
 
 

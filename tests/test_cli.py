@@ -2,12 +2,13 @@ import ast
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmeas import cli, equilibrium
+from qmeas import cli, curie_weiss, equilibrium
 from qmeas.errors import ConvergenceError
 
 COMMANDS = ("truncate", "recur", "cascade", "register", "finalstate", "born",
@@ -25,6 +26,15 @@ def strip_version_header(text: str) -> str:
     lines = text.splitlines()
     assert lines[0].startswith("# qmeas ")
     return "\n".join(lines[1:])
+
+
+def flatten_json(obj, prefix=""):
+    """(dotted key, leaf) pairs of a parsed JSON tree, in document order."""
+    if isinstance(obj, dict):
+        return [kv for k, v in obj.items() for kv in flatten_json(v, f"{prefix}{k}.")]
+    if isinstance(obj, list):
+        return [kv for i, v in enumerate(obj) for kv in flatten_json(v, f"{prefix}{i}.")]
+    return [(prefix[:-1], obj)]
 
 
 class TestConfig:
@@ -76,10 +86,17 @@ class TestExitCodes:
         assert err.startswith("qmeas: config:")
 
     def test_guard_maps_to_3(self, capsys):
-        # dense two-sector representation above 12 spins is refused
-        code, _, err = run_cli(capsys, "oracle-check", "--N", "13", "--points", "5")
+        # the oracle's 2^N vectors pass the byte budget from N = 23; the
+        # refusal comes before any 2^N array exists
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "oracle-check", "--N", "23", "--points", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 3
         assert err.startswith("qmeas: guard:")
+        assert peak < 4 * 2**23  # half of one float64 2^N vector
 
     def test_recur_without_seeds_maps_to_2(self, capsys):
         code, _, err = run_cli(capsys, "recur", "--N", "100", "--seeds", "0")
@@ -130,8 +147,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
     @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_points_below_one_maps_to_2(self, capsys, command, points):
-        # zero points would pass oracle-check vacuously
+    def test_points_below_one_maps_to_2(self, capsys, monkeypatch, command, points):
+        # zero points would pass oracle-check vacuously; the refusal comes
+        # before any coupling is drawn
+        def no_model(*args, **kwargs):
+            raise AssertionError("build_model called before --points was checked")
+
+        monkeypatch.setattr(curie_weiss, "build_model", no_model)
         code, out, err = run_cli(capsys, command, "--N", "2", f"--points={points}")
         assert code == 2
         assert out == ""
@@ -241,6 +263,38 @@ class TestOutputs:
         assert sorted(data["m"]) == [pytest.approx(-0.7104117834878704, abs=1e-9),
                                      pytest.approx(0.7104117834878704, abs=1e-9)]
         assert data["g_threshold"] == pytest.approx(0.06224413545227514, abs=2e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("born",), ("register", "--N", "50"), ("finalstate",), ("reduce",),
+        ("ambiguity",), ("dispersionless",), ("chsh",), ("feasible",),
+        ("oracle-check", "--N", "4"),
+    ])
+    def test_csv_matches_json(self, capsys, argv):
+        code_j, out_j, _ = run_cli(capsys, *argv, "--format", "json")
+        code_c, out_c, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code_j == code_c == 0
+        expected = flatten_json(json.loads(out_j))
+        body = strip_version_header(out_c).splitlines()
+        assert body[0] == "key,value"
+        rows = [line.split(",", 1) for line in body[1:]]
+        assert [k for k, _ in rows] == [k for k, _ in expected]
+        for (key, text), (_, value) in zip(rows, expected):
+            if isinstance(value, bool):
+                assert text == str(value).lower(), key
+            elif isinstance(value, int):
+                assert int(text) == value, key
+            elif isinstance(value, float):
+                assert float(text) == value, key
+            else:
+                assert text == str(value), key
+
+    def test_oracle_check_passes_past_twelve_spins(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle-check", "--N", "16", "--delta-g-rel", "0.1",
+                               "--points", "20")
+        assert code == 0
+        data = json.loads(out)
+        assert data["n"] == 16
+        assert data["pass_1e10"] is True
 
     def test_csv_rows_render_as_fmt_join(self):
         # the one-format-per-row renderer must read as _fmt on every value

@@ -318,6 +318,14 @@ class TestPointerModel:
         with pytest.raises(GuardError):
             eq.magnet_operators(23, 1.0)
 
+    def test_dense_projector_read_is_guarded(self):
+        # projectors of the full pointer are stored as 2^N diagonals; reading
+        # one as a dense matrix is refused from N = 13 (1.07 GB)
+        projs = eq.DiagonalMatrices([np.ones(2**13)])
+        assert projs.diagonals[0].shape == (2**13,)
+        with pytest.raises(GuardError, match="diagonals"):
+            projs[0]
+
     def test_full_pointer_matches_reduced_at_16(self):
         n = 16
         full = eq.build_curie_weiss_pointer(n, 1.0, 0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -139,7 +141,7 @@ class TestCrossValidation:
 class TestDenseGuard:
     def test_byte_guard_mentions_streaming(self):
         # diagonal blocks take 4 * 2^N * 16 B per point: 6000 points at
-        # N = 12 need 1.57 GB, past the 1.5 GB guard
+        # N = 12 need 1.57 GB, past the 1 GB byte budget
         model = spread_model(12)
         with pytest.raises(GuardError) as err:
             oracle.dense_joint_evolution(model, np.linspace(0, 1, 6000))
@@ -160,8 +162,29 @@ class TestDenseGuard:
         assert blocks[-1].blocks.is_diagonal
 
     def test_model_size_guard(self):
-        with pytest.raises(GuardError):
-            oracle.sector_blocks_at(spread_model(13), 0.1)
+        # 13 complex 2^N vectors pass the byte budget from N = 23; the
+        # refusal comes before any 2^N array exists
+        model = spread_model(23)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError):
+                oracle.sector_blocks_at(model, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**23  # half of one float64 2^N vector
+
+    def test_dense_reads_of_diagonal_blocks_are_guarded(self):
+        # a diagonal-path block is stored as its 2^N diagonal; reading it as
+        # a dense 4^N matrix is refused from N = 13 (1.07 GB), reassembling
+        # the joint state (16 such matrices) from N = 11
+        sb = oracle.sector_blocks_at(spread_model(13), 0.1)
+        assert sb.blocks.diag((0, 1)).shape == (2**13,)
+        with pytest.raises(GuardError, match="diag"):
+            sb.blocks[(0, 1)]
+        model = spread_model(11)
+        with pytest.raises(GuardError, match="block_expectations"):
+            oracle.reconstruct_joint(oracle.sector_blocks_at(model, 0.1), model.r0)
 
 
 class TestAppendixCReport:

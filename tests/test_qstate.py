@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas.errors import ValidationError
+from qmeas.errors import GuardError, ValidationError
 from qmeas.qstate import (
     HERMITIAN_TOL,
     PSD_MIN_EIG,
@@ -307,6 +307,13 @@ class TestDiagonalStorage:
         assert np.array_equal(m, np.diag([0.25, 0.75]).astype(complex))
         assert not m.flags.writeable and not state.diagonal.flags.writeable
         assert Observable(SIGMA_Z).diagonal is None
+
+    def test_dense_read_is_guarded(self):
+        # an 8192-entry diagonal would read as a 1.07 GB complex matrix
+        obs = Observable(diagonal=np.zeros(2**13))
+        assert obs.dim == 2**13
+        with pytest.raises(GuardError, match="diagonal"):
+            obs.matrix
 
     def test_exactly_one_storage(self):
         with pytest.raises(ValidationError, match="exactly one"):
