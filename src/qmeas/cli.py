@@ -648,6 +648,7 @@ def _selftest_feasible():
 def _cmd_oracle_check(args) -> dict:
     from . import curie_weiss, oracle
 
+    oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
     subsets = [tuple(range(k)) for k in range(1, min(3, model.N) + 1)]
     res = curie_weiss.transverse_expectations(model, grid)
@@ -694,6 +695,7 @@ def _selftest_oracle_check():
 def _cmd_appc_report(args) -> dict:
     from . import oracle
 
+    oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
     rep = oracle.appendix_c_report(oracle.iter_sector_blocks(model, grid))
     cols = ["t", "invariant_deviation", "sx"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError, guard_bytes
-from .qstate import DensityOperator, Observable, diagonal_or_none, qexpect
+from .qstate import DensityOperator, Observable, dense_diagonal, diagonal_or_none, qexpect
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
@@ -450,11 +450,7 @@ class DiagonalMatrices(Sequence):
         self.diagonals = tuple(vecs)
 
     def __getitem__(self, i) -> np.ndarray:
-        d = self.diagonals[i]
-        guard_bytes(16 * d.size**2, "a dense diagonal matrix", "read .diagonals")
-        m = np.diag(d.astype(np.complex128))
-        m.setflags(write=False)
-        return m
+        return dense_diagonal(self.diagonals[i], "a dense diagonal matrix", "read .diagonals")
 
     def __len__(self) -> int:
         return len(self.diagonals)

@@ -1,36 +1,36 @@
-"""Brute-force ground truth: dense sector-block evolution of spin + magnet.
+"""Brute-force ground truth: sector-block evolution of spin + magnet.
 
 The joint state is stored per tested-spin sector as magnet-space blocks
 W_ij(t) = r_ij(0) * R_ij(t), with R_ij(t) = U_i(t) (I/2^N) U_j(t)^dagger and
-U_i generated by K_i = H_M + h_i (h_i the magnet field selected by tested
-sector i).  For the dephasing model all K_i are diagonal, so the propagators
-are exact phase vectors, there is no time-stepping error, and each block is
-kept as its length-2^N diagonal; only a non-diagonal magnet Hamiltonian
-leads to dense blocks.  Everything the analytic layer claims (F, transverse
-series, cascade correlators) is recomputed here from the 2^N basis sums and
-compared at small N.
+U_i generated by K_i = h_i, the magnet field selected by tested sector i.
+Ideality fixes this generator: the tested s_z is conserved and the magnet
+energy is a function of M_z, so every K_i is diagonal and the evolution is
+pure dephasing.  The propagators are then exact phase vectors, there is no
+time-stepping error, and each block is kept as its length-2^N diagonal.
+Everything the analytic layer claims (F, transverse series, cascade
+correlators) is recomputed here from the 2^N basis sums and compared at
+small N.
 
-Sizes are bounded by errors.guard_bytes: the diagonal path reaches N = 22.
+Sizes are bounded by errors.guard_bytes: the oracle reaches N = 22.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .curie_weiss import CurieWeissModel, weighted_magnetization_diag
+from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel, weighted_magnetization_diag
 from .errors import ValidationError, guard_bytes
-from .qstate import DensityOperator, diagonal_or_none
+from .qstate import DensityOperator, dense_diagonal
 
-# complex128 2^N vectors alive at the peak of a streamed diagonal pass: 12
-# for the propagators and one time's blocks, 12.6 with block_expectations or
-# appendix_c_report consuming them (tracemalloc, N = 14..18)
+# complex128 2^N vectors alive at the peak of a streamed pass: 12.1 for the
+# sector fields, phase vectors and two times' blocks, 12.3 with
+# block_expectations or appendix_c_report consuming them and three cached
+# int8 sign vectors (tracemalloc, N = 14..18)
 _DIAG_VECTORS = 13
-# complex128 4^N matrices alive at the peak of the eigh path, over the
-# caller's magnet Hamiltonian (tracemalloc, N = 6, 8)
-_EIGH_MATRICES = 13
 # complex128 4^N matrices alive in reconstruct_joint: the four blocks, the
 # 2^(N+1)-square joint and its validation (tracemalloc, N = 8, 9)
 _JOINT_MATRICES = 16
@@ -39,24 +39,19 @@ _TRACE_TOL = 1e-12
 
 
 class BlockMap(Mapping):
-    """Read-only (i, j) -> magnet-space block.
+    """Read-only (i, j) -> magnet-space block, stored as its length-2^N
+    diagonal.
 
-    With is_diagonal set, each block is stored as its length-2^N diagonal
-    and expanded with np.diag only when a key is read; otherwise the dense
-    matrices are stored and returned as they are.  diag() gives a block's
-    diagonal without building the matrix.
+    Reading a key builds the dense matrix with np.diag; diag() gives a
+    block's diagonal without building the matrix.
     """
 
-    def __init__(self, stored: dict, is_diagonal: bool):
+    def __init__(self, stored: dict):
         self._stored = dict(stored)
-        self.is_diagonal = bool(is_diagonal)
 
     def __getitem__(self, key) -> np.ndarray:
-        b = self._stored[key]
-        if not self.is_diagonal:
-            return b
-        guard_bytes(16 * b.size**2, "a dense sector block", "read it with .diag(key)")
-        return np.diag(b)
+        return dense_diagonal(self._stored[key], "a dense sector block",
+                              "read it with .diag(key)")
 
     def __iter__(self):
         return iter(self._stored)
@@ -65,8 +60,7 @@ class BlockMap(Mapping):
         return len(self._stored)
 
     def diag(self, key) -> np.ndarray:
-        b = self._stored[key]
-        return b if self.is_diagonal else np.diag(b)
+        return self._stored[key]
 
 
 @dataclass(frozen=True)
@@ -87,11 +81,10 @@ class SectorBlocks:
         n_sec = len(self.projectors)
         if self.sector_weights.shape != (n_sec, n_sec):
             raise ValidationError("sector_weights must be square over sectors")
-        # pair stored diagonals directly (.T leaves a vector as it is)
-        get = self.blocks.diag if self.blocks.is_diagonal else self.blocks.__getitem__
+        diag = self.blocks.diag
         for i in range(n_sec):
             for j in range(i + 1, n_sec):
-                if not np.array_equal(get((j, i)), get((i, j)).conj().T):
+                if not np.array_equal(diag((j, i)), diag((i, j)).conj()):
                     raise ValidationError("blocks must satisfy W_ji = W_ij^dagger exactly")
         total = sum(self.blocks.diag((i, i)).sum() for i in range(n_sec))
         if abs(total - 1.0) > _TRACE_TOL:
@@ -118,9 +111,19 @@ class AppendixCReport:
     message: str
 
 
+def guard_spins(n_spins: int) -> None:
+    """Refuse an oracle run whose 2^N vectors would pass the byte budget, from
+    N alone and so before any coupling is drawn; an N past ANALYTIC_N_MAX is
+    left to build_model's ValidationError (its 2^N is never formed)."""
+    if n_spins <= ANALYTIC_N_MAX:
+        guard_bytes(_DIAG_VECTORS * 16 * 2**n_spins, "the dense oracle's 2^N vectors",
+                    "use the analytic layer at this N")
+
+
 def _sector_fields(model: CurieWeissModel) -> tuple[np.ndarray, np.ndarray]:
     # tested sectors ordered (+1, -1); coupling favors magnetization with the
     # tested spin's sign, so sector s gets the field -s * sum_n g_n sigma_z
+    guard_spins(model.N)
     m = weighted_magnetization_diag(model.couplings)
     return -m, +m
 
@@ -130,85 +133,43 @@ def _sector_weights(model: CurieWeissModel) -> np.ndarray:
 
 
 def _projectors() -> tuple[np.ndarray, np.ndarray]:
-    up = np.diag([1.0 + 0.0j, 0.0j])
-    dn = np.diag([0.0j, 1.0 + 0.0j])
-    return up, dn
+    return np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j])
 
 
-class _Propagators:
-    """Per-sector generators prepared once, evaluated per time."""
-
-    def __init__(self, model: CurieWeissModel, magnet_hamiltonian=None):
-        dim = 2**model.N
-        d = None
-        if magnet_hamiltonian is not None:
-            if magnet_hamiltonian.dim != dim:
-                raise ValidationError("magnet_hamiltonian dimension mismatch")
-            d = diagonal_or_none(magnet_hamiltonian)
-        self.dim = dim
-        self.diagonal = magnet_hamiltonian is None or d is not None
-        if self.diagonal:
-            guard_bytes(_DIAG_VECTORS * 16 * dim, "the dense oracle's 2^N vectors",
-                        "use the analytic layer at this N")
-            self.k_diag = [f if d is None else d.real + f for f in _sector_fields(model)]
-            return
-        guard_bytes(_EIGH_MATRICES * 16 * dim**2, "the dense oracle's eigh path",
-                    "use a diagonal magnet Hamiltonian or a smaller N")
-        h_m = np.asarray(magnet_hamiltonian.matrix, dtype=np.complex128)
-        self.eigs = []
-        for f in _sector_fields(model):
-            vals, vecs = np.linalg.eigh(h_m + np.diag(f))
-            self.eigs.append((vals, vecs))
-
-    def unitaries(self, t: float) -> list[np.ndarray]:
-        if self.diagonal:
-            return [np.exp(-1j * t * k) for k in self.k_diag]
-        out = []
-        for vals, vecs in self.eigs:
-            out.append((vecs * np.exp(-1j * t * vals)) @ vecs.conj().T)
-        return out
-
-
-def sector_blocks_at(model: CurieWeissModel, t: float, magnet_hamiltonian=None,
-                     _prop: _Propagators | None = None) -> SectorBlocks:
-    """Joint state at one time, as weighted sector blocks; the diagonal path
-    stores each block as its diagonal."""
-    prop = _prop if _prop is not None else _Propagators(model, magnet_hamiltonian)
+def sector_blocks_at(model: CurieWeissModel, t: float,
+                     _fields: tuple | None = None) -> SectorBlocks:
+    """Joint state at one time, as weighted sector blocks stored as their
+    diagonals; _fields are the precomputed sector fields of a streamed run."""
+    fields = _fields if _fields is not None else _sector_fields(model)
     w = _sector_weights(model)
-    us = prop.unitaries(float(t))
-    inv_dim = 1.0 / prop.dim
+    t = float(t)
+    us = [np.exp(-1j * t * k) for k in fields]
+    inv_dim = 1.0 / 2**model.N
     blocks = {}
     for i in range(2):
         for j in range(i, 2):
-            if prop.diagonal:
-                wij = w[i, j] * inv_dim * us[i] * np.conj(us[j])
-            else:
-                wij = w[i, j] * inv_dim * (us[i] @ us[j].conj().T)
+            wij = w[i, j] * inv_dim * us[i] * np.conj(us[j])
             blocks[(i, j)] = wij
             if j != i:
-                blocks[(j, i)] = wij.conj().T
-    return SectorBlocks(time=float(t), projectors=_projectors(), sector_weights=w,
-                        blocks=BlockMap(blocks, is_diagonal=prop.diagonal))
+                blocks[(j, i)] = wij.conj()
+    return SectorBlocks(time=t, projectors=_projectors(), sector_weights=w,
+                        blocks=BlockMap(blocks))
 
 
-def iter_sector_blocks(model: CurieWeissModel, times,
-                       magnet_hamiltonian=None) -> Iterator[SectorBlocks]:
+def iter_sector_blocks(model: CurieWeissModel, times) -> Iterator[SectorBlocks]:
     """Stream SectorBlocks over a grid without holding them all in memory."""
-    prop = _Propagators(model, magnet_hamiltonian)
+    fields = _sector_fields(model)
     for t in np.atleast_1d(np.asarray(times, dtype=np.float64)):
-        yield sector_blocks_at(model, float(t), _prop=prop)
+        yield sector_blocks_at(model, float(t), _fields=fields)
 
 
-def dense_joint_evolution(model: CurieWeissModel, times,
-                          magnet_hamiltonian=None) -> list[SectorBlocks]:
+def dense_joint_evolution(model: CurieWeissModel, times) -> list[SectorBlocks]:
     """Materialized block evolution; guarded by the bytes its blocks take
-    (four blocks per time, 2^N entries each on the diagonal path, 4^N
-    otherwise).  Use iter_sector_blocks for long grids at large N."""
+    (four 2^N-entry blocks per time).  Use iter_sector_blocks for long grids
+    at large N."""
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    diagonal = magnet_hamiltonian is None or diagonal_or_none(magnet_hamiltonian) is not None
-    guard_bytes(t.size * 4 * (2**model.N if diagonal else 4**model.N) * 16,
-                "dense evolution", "use iter_sector_blocks")
-    return list(iter_sector_blocks(model, t, magnet_hamiltonian))
+    guard_bytes(t.size * 4 * 2**model.N * 16, "dense evolution", "use iter_sector_blocks")
+    return list(iter_sector_blocks(model, t))
 
 
 def reconstruct_joint(sb: SectorBlocks, r0: DensityOperator) -> DensityOperator:
@@ -226,11 +187,16 @@ def reconstruct_joint(sb: SectorBlocks, r0: DensityOperator) -> DensityOperator:
     return DensityOperator(joint, subsystem_dims=(2, dim_m))
 
 
-def _zprod_diag(n_spins: int, subset) -> np.ndarray:
+@lru_cache(maxsize=3)
+def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
+    # the sigma_z-product diagonal as int8 +-1, cached: a run asks for the
+    # same subsets (k = 1..3 in oracle-check and appc-report) at every time
     a = np.arange(2**n_spins)
-    z = np.ones(2**n_spins)
+    parity = np.zeros_like(a)
     for n in subset:
-        z *= 1 - 2 * ((a >> int(n)) & 1)
+        parity ^= a >> n
+    z = (1 - 2 * (parity & 1)).astype(np.int8)
+    z.setflags(write=False)
     return z
 
 
@@ -250,7 +216,8 @@ def block_expectations(sb: SectorBlocks, subsets: Iterable[tuple] = ()) -> dict:
         "cascade": {},
     }
     for subset in subsets:
-        z = _zprod_diag(n_spins, subset)
+        # np.dot casts the signs to complex +-1.0 before the BLAS sum
+        z = _zprod_signs(n_spins, tuple(int(n) for n in subset))
         c = complex(np.dot(diag_ud, z))
         out["cascade"][tuple(subset)] = (2.0 * c.real, -2.0 * c.imag)
     return out
@@ -266,25 +233,16 @@ def appendix_c_report(blocks: Iterable[SectorBlocks], deviation_tol: float = 1e-
     for sb in blocks:
         r_ud = complex(sb.sector_weights[0, 1])
         if r_ud == 0:
-            raise ValidationError(
-                "appendix_c_report needs a transverse initial component (r0 off-diagonal)"
-            )
+            raise ValidationError("appendix_c_report needs a transverse initial "
+                                  "component (r0 off-diagonal)")
         d = sb.blocks.diag((0, 1))
         dim = d.shape[0]
         if n_spins is None:
             n_spins = dim.bit_length() - 1
-            ks = [k for k in range(1, min(max_k, n_spins) + 1)]
-            for k in ks:
-                corr[k] = []
+            corr = {k: [] for k in range(1, min(max_k, n_spins) + 1)}
         target = 1.0 / dim**2
         # a diagonal block's Gram matrix is |d|^2 on the diagonal
-        if sb.blocks.is_diagonal or diagonal_or_none(sb.blocks[(0, 1)]) is not None:
-            gram_diag = (np.abs(d) / abs(r_ud)) ** 2
-            dev = float(np.max(np.abs(gram_diag - target)))
-        else:
-            w = sb.blocks[(0, 1)]
-            gram = (w @ w.conj().T) / abs(r_ud) ** 2
-            dev = float(np.max(np.abs(gram - target * np.eye(dim))))
+        dev = float(np.max(np.abs((np.abs(d) / abs(r_ud)) ** 2 - target)))
         exp = block_expectations(sb, subsets=[tuple(range(k)) for k in corr])
         times.append(sb.time)
         devs.append(dev)

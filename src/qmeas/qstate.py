@@ -38,6 +38,16 @@ def _as_complex_matrix(matrix, what: str) -> np.ndarray:
     return m
 
 
+def dense_diagonal(d: np.ndarray, what: str, hint: str) -> np.ndarray:
+    """The read-only complex matrix np.diag(d), refused with GuardError when
+    it would pass errors.BYTES_BUDGET; what and hint name the caller's
+    storage and its cheaper read."""
+    guard_bytes(16 * d.size**2, what, hint)
+    m = np.diag(d.astype(np.complex128))
+    m.setflags(write=False)
+    return m
+
+
 def diagonal_or_none(m) -> np.ndarray | None:
     """The diagonal of a square matrix with no nonzero entry off it, else None.
 
@@ -123,11 +133,8 @@ class _Operator:
     def matrix(self) -> np.ndarray:
         if self._diagonal is None:
             return self._matrix
-        guard_bytes(16 * self._diagonal.size**2, "the dense matrix of a diagonal-stored operator",
-                    "read .diagonal")
-        m = np.diag(self._diagonal.astype(np.complex128))
-        m.setflags(write=False)
-        return m
+        return dense_diagonal(self._diagonal, "the dense matrix of a diagonal-stored operator",
+                              "read .diagonal")
 
     @property
     def diagonal(self) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,9 @@ import pytest
 
 from qmeas import cli, curie_weiss, equilibrium
 from qmeas.errors import ConvergenceError
+
+# subprocesses import the package from this checkout, installed or not
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 COMMANDS = ("truncate", "recur", "cascade", "register", "finalstate", "born",
             "reduce", "ambiguity", "dispersionless", "chsh", "feasible",
@@ -158,6 +162,29 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("qmeas: config:") and "--points" in err
+
+    @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
+    @pytest.mark.parametrize("n", ["23", "10000000"])
+    def test_oracle_size_refused_before_model(self, capsys, monkeypatch, command, n):
+        # the oracle's 2^N vectors are refused from N alone, before any
+        # coupling or analytic series is drawn
+        def no_model(*args, **kwargs):
+            raise AssertionError("build_model called before the oracle's size guard")
+
+        monkeypatch.setattr(curie_weiss, "build_model", no_model)
+        code, out, err = run_cli(capsys, command, "--N", n, "--points", "5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qmeas: guard:") and "dense oracle" in err
+
+    @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
+    def test_oracle_n_past_analytic_range_maps_to_2(self, capsys, command):
+        # the size guard leaves such an N to build_model's range check, so
+        # the exact integer 2^N is never formed
+        code, out, err = run_cli(capsys, command, "--N", "100000000", "--points", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "N must be in" in err
 
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch):
         def no_root(*args, **kwargs):
@@ -323,7 +350,7 @@ def test_cli_import_leaves_scipy_unloaded():
             "    pass\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         env=SRC_ENV, check=True)
     version, loaded = out.stdout.splitlines()
     assert version.startswith("qmeas ")
     assert loaded == "[]"
@@ -339,7 +366,7 @@ def _run_and_list_modules(argv):
               "        code = exc.code\n"
               "print(json.dumps([code, sorted(sys.modules)]))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True)
+                         env=SRC_ENV, check=True)
     code, loaded = json.loads(out.stdout.splitlines()[-1])
     return code, set(loaded)
 
@@ -383,7 +410,7 @@ def test_registration_leaves_scipy_unloaded(argv):
             f"assert cli.main({argv!r}) == 0\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         env=SRC_ENV, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
@@ -404,7 +431,7 @@ def test_feasible_leaves_scipy_unloaded():
             "print(json.dumps([verdicts,\n"
             "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         env=SRC_ENV, check=True)
     verdicts, loaded = json.loads(out.stdout.splitlines()[-1])
     assert verdicts == [True, False, True]
     assert loaded == []
@@ -419,5 +446,5 @@ def test_no_selftest_loads_scipy():
             "        assert cli.main([name, '--selftest']) == 0, name\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         env=SRC_ENV, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
