@@ -26,6 +26,7 @@ Units: hbar = 1, couplings are energies, times are inverse energies.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,8 @@ def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
     if N < 1 or N > ANALYTIC_N_MAX:
         raise ValidationError(f"N must be in [1, {ANALYTIC_N_MAX}]")
     g = float(g)
-    if g <= 0.0:
-        raise ValidationError("g must be positive")
+    if not (math.isfinite(g) and g > 0.0):
+        raise ValidationError("g must be finite and positive")
     delta_g_rel = float(delta_g_rel)
     if not 0.0 <= delta_g_rel < 1.0:
         raise ValidationError("delta_g_rel must be in [0, 1)")

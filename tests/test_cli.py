@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -163,6 +164,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qmeas: config:") and "--points" in err
 
+    @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-1"])
+    def test_bad_tmax_tau_maps_to_2(self, capsys, monkeypatch, command, tmax):
+        # nan and inf gave a non-finite grid only after the draw; -1 gave a
+        # reversed grid and exit 0
+        def no_model(*args, **kwargs):
+            raise AssertionError("build_model called before --tmax-tau was checked")
+
+        monkeypatch.setattr(curie_weiss, "build_model", no_model)
+        code, out, err = run_cli(capsys, command, "--N", "2", f"--tmax-tau={tmax}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "--tmax-tau" in err
+
     @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
     @pytest.mark.parametrize("n", ["23", "10000000"])
     def test_oracle_size_refused_before_model(self, capsys, monkeypatch, command, n):
@@ -206,11 +221,17 @@ class TestSelftests:
     def test_selftests_use_no_bare_assert(self):
         # python -O strips assert statements, which would turn every
         # selftest into an unconditional PASS
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        from qmeas import selftests
+
+        assert set(selftests.SELFTESTS) == set(COMMANDS)
+        tree = ast.parse(Path(selftests.__file__).read_text(encoding="utf-8"))
+        checked = set()
         for fn in tree.body:
             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_selftest_"):
                 asserts = [n for n in ast.walk(fn) if isinstance(n, ast.Assert)]
                 assert not asserts, f"{fn.name} uses assert"
+                checked.add(fn.name)
+        assert checked == {f.__name__ for f in selftests.SELFTESTS.values()}
 
     def test_failed_check_maps_to_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.contextuality, "chsh_value", lambda *a: 2.0)
@@ -357,22 +378,32 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def _run_and_list_modules(argv):
-    script = ("import contextlib, io, json, sys\n"
+    # the child prints a repr, not JSON, so that the listing loads no json
+    script = ("import contextlib, io, sys\n"
               "from qmeas import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    try:\n"
               f"        code = cli.main({argv!r})\n"
               "    except SystemExit as exc:\n"
               "        code = exc.code\n"
-              "print(json.dumps([code, sorted(sys.modules)]))\n")
+              "print([code, sorted(sys.modules)])\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=SRC_ENV, check=True)
-    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    code, loaded = ast.literal_eval(out.stdout.splitlines()[-1])
     return code, set(loaded)
 
 
+@functools.cache
+def _argparse_baseline() -> set:
+    # what the interpreter and its site hooks load next to argparse alone
+    script = "import argparse, contextlib, io, sys\nprint(sorted(sys.modules))\n"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=SRC_ENV, check=True)
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["--version"], {"numpy"}),
+    (["--version"], {"numpy", "dataclasses", "configparser", "json", "qmeas.selftests"}),
     (["chsh"], {"qmeas.curie_weiss", "qmeas.equilibrium", "qmeas.oracle", "qmeas.runs"}),
     (["born", "--runs", "1000"], {"qmeas.curie_weiss", "qmeas.contextuality"}),
     (["truncate", "--N", "1000", "--points", "50"],
@@ -383,7 +414,24 @@ def test_command_loads_only_its_layers(argv, absent):
     # the fixed cost of a job is the code that job runs
     code, loaded = _run_and_list_modules(argv)
     assert code == 0
-    assert not absent & loaded
+    assert not (absent - _argparse_baseline()) & loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["recur", "--N", "1000", "--g", "inf"],
+    ["cascade", "--N", "100", "--g", "nan", "--k", "1"],
+    ["truncate", "--N", "10000000", "--delta-g-rel", "0.1", "--g", "inf"],
+], ids=["recur-inf", "cascade-nan", "truncate-1e7-inf"])
+def test_non_finite_coupling_maps_to_2(argv):
+    # refused before any draw: no NaN rows, and no numpy RuntimeWarning from
+    # a non-finite coupling table reaches stderr
+    script = "import sys\nfrom qmeas.cli import main\nsys.exit(main())\n"
+    out = subprocess.run([sys.executable, "-W", "default", "-c", script, *argv],
+                         capture_output=True, text=True, env=SRC_ENV)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmeas: config:") and "finite" in out.stderr
+    assert "Warning" not in out.stderr
 
 
 def test_package_exports_resolve():

@@ -32,6 +32,11 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             cw.build_model(100, 1.0, 2.0, seed=0)
 
+    @pytest.mark.parametrize("g", [np.inf, np.nan, -np.inf, 0.0])
+    def test_non_finite_or_nonpositive_g_rejected(self, g):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            cw.build_model(10, g, 0.1, seed=0)
+
     def test_analytic_size_cap(self):
         with pytest.raises(ValidationError):
             cw.build_model(10**7 + 1, 1.0)
