@@ -1,4 +1,4 @@
-"""The trig-product kernel, in numpy; qmeas.kernels threads and validates it.
+"""The trig-product kernel, in numpy; qmeas.kernels validates its inputs.
 
 Numpy's errstate applies as the caller set it: a subnormal angle raises under
 errstate(all="raise"); the final exp never raises (see trig_product).
@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 # entries per (times x couplings) tile: an 8 MB float64 buffer per call
-# (per worker thread when qmeas.kernels splits the times) even for 1e7
-# couplings; couplings are cut at multiples of _CHUNK into column blocks
+# even for 1e7 couplings; couplings are cut at multiples of _CHUNK into
+# column blocks
 _CHUNK = 1 << 20
 
 

@@ -197,6 +197,8 @@ def dispersionless_family(state: DensityOperator, rank_tol: float = RANK_TOL) ->
     """All observables certain on the state: c * (support projector) plus an
     arbitrary Hermitian block on the null space; (n-k)^2 + 1 real parameters
     for rank k in dimension n."""
+    if not math.isfinite(rank_tol) or rank_tol < 0:
+        raise ValidationError("rank_tol must be finite and non-negative")
     vals, vecs = np.linalg.eigh(state.matrix)
     near = (vals > rank_tol / 10.0) & (vals < rank_tol * 10.0)
     if np.any(near):

@@ -21,7 +21,7 @@ import importlib
 import sys
 
 from . import __version__
-from .errors import GuardError, QmeasError, SelftestError, ValidationError
+from .errors import GuardError, QmeasError, SelftestError, ValidationError, guard_bytes
 
 _LAYERS = frozenset({"ambiguity", "contextuality", "curie_weiss", "equilibrium",
                      "kernels", "oracle", "runs"})
@@ -89,9 +89,8 @@ class ExperimentConfig:
 
 
 def _max_workers() -> int:
-    from . import kernels
-
-    return kernels.max_workers()
+    # the kernel runs on one thread; perfbench/probe.py records this value
+    return 1
 
 
 def _parse_bloch(spec: str) -> tuple[float, float, float]:
@@ -237,12 +236,20 @@ def _cmd_truncate(args) -> dict:
     return {"columns": ["t", "sx", "sy", "gaussian_envelope"], "rows": rows}
 
 
+# bytes per recurrence peak alive when recur writes its output: the peak,
+# its row and its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5:
+# 420 per peak for CSV, 894 for JSON, past about 8 MB of imports)
+_RECUR_PEAK_BYTES = 900
+
+
 def _cmd_recur(args) -> dict:
+    if args.seeds < 1:
+        raise ValidationError("--seeds must be at least 1")
+    guard_bytes(_RECUR_PEAK_BYTES * args.nu_max * args.seeds, "recur's peak rows",
+                "lower --nu-max or --seeds")
     from . import curie_weiss
     from .qstate import bloch_state
 
-    if args.seeds < 1:
-        raise ValidationError("--seeds must be at least 1")
     rows = []
     r0 = bloch_state(_parse_bloch(args.r0))
     # seeds run one after another; no model outlives its own profile, so

@@ -229,3 +229,9 @@ class TestDispersionlessFamily:
         r0 = DensityOperator(np.diag([1.0 - 5e-11, 5e-11]).astype(complex))
         with pytest.warns(UserWarning):
             amb.dispersionless_family(r0)
+
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1.0])
+    def test_bad_rank_tol_rejected(self, rng, rank_tol):
+        # a NaN threshold would call every eigenvalue null: rank 0
+        with pytest.raises(ValidationError, match="rank_tol"):
+            amb.dispersionless_family(random_density(3, rng, rank=3), rank_tol)

@@ -108,12 +108,6 @@ class TestExitCodes:
         assert code == 2
         assert "--seeds" in err
 
-    def test_bad_thread_cap_maps_to_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMEAS_THREADS", "0")
-        code, _, err = run_cli(capsys, "truncate", "--N", "1000")
-        assert code == 2
-        assert "QMEAS_THREADS" in err
-
     def test_unwritable_output_maps_to_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "chsh", "--out",
                                str(tmp_path / "no" / "such" / "dir" / "x.json"))
@@ -129,6 +123,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("qmeas: config:") and "finite" in err
+
+    @pytest.mark.parametrize("rank_tol", ["nan", "inf", "-1"])
+    def test_bad_rank_tol_maps_to_2(self, capsys, rank_tol):
+        code, out, err = run_cli(capsys, "dispersionless", f"--rank-tol={rank_tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and "rank_tol" in err
 
     @pytest.mark.parametrize("argv", [
         ("register", "--T", "nan"),
@@ -191,6 +192,26 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("qmeas: guard:") and "dense oracle" in err
+
+    @pytest.mark.parametrize("argv", [("--nu-max", "100000000"),
+                                      ("--nu-max", "1000", "--seeds", "10000000")],
+                             ids=["nu-max", "seeds"])
+    def test_recur_rows_refused_before_model(self, capsys, monkeypatch, argv):
+        # nu_max * seeds peak rows are refused before any coupling is drawn
+        def no_model(*args, **kwargs):
+            raise AssertionError("build_model called before recur's size guard")
+
+        monkeypatch.setattr(curie_weiss, "build_model", no_model)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "recur", "--N", "100", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qmeas: guard:") and "--nu-max" in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
     def test_oracle_n_past_analytic_range_maps_to_2(self, capsys, command):
@@ -409,7 +430,8 @@ def _argparse_baseline() -> set:
     (["truncate", "--N", "1000", "--points", "50"],
      {"concurrent.futures", "qmeas.equilibrium", "qmeas.oracle"}),
     (["register", "--N", "200"], {"qmeas.curie_weiss"}),
-], ids=["version", "chsh", "born", "truncate", "register"])
+    (["truncate", "--N", "1000", "--points", "20000"], {"concurrent.futures", "logging"}),
+], ids=["version", "chsh", "born", "truncate", "register", "truncate-past-radius"])
 def test_command_loads_only_its_layers(argv, absent):
     # the fixed cost of a job is the code that job runs
     code, loaded = _run_and_list_modules(argv)

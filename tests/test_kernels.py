@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas import _kernels_py, kernels
+from qmeas import kernels
 from qmeas._kernels_py import _CHUNK
 from qmeas._kernels_py import trig_product as py_trig_product
 from qmeas.errors import ValidationError
@@ -159,24 +159,8 @@ def test_tiled_kernel_matches_reference_bitwise(rng, n, kind):
     assert got[0] == (1.0 if mask is None else 0.0)
 
 
-def test_thread_count_does_not_change_result(rng, monkeypatch):
-    coeffs = rng.uniform(0.5, 1.5, size=1000)
-    times = rng.uniform(-3.0, 3.0, size=9000)
-    mask = _mask(rng, 1000, "dense")
-    assert coeffs.size * times.size > 8 * _CHUNK
-    results = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("QMEAS_THREADS", threads)
-        results.append(kernels.trig_product(coeffs, times, mask))
-    serial = _kernels_py.trig_product(coeffs, times, mask)
-    for out in results:
-        assert np.array_equal(out, serial)
-        assert np.array_equal(np.signbit(out), np.signbit(serial))
-
-
-def test_threaded_call_keeps_callers_errstate(monkeypatch):
-    # threaded: coeffs * 1e-300 underflows to a subnormal
-    monkeypatch.setenv("QMEAS_THREADS", "2")
+def test_multi_tile_call_keeps_callers_errstate():
+    # a multi-tile call, its last tile holding the subnormal angle coeffs * 1e-300
     coeffs = np.full(1000, 1e-10)
     times = np.linspace(0.1, 3.0, 3000)
     times[-1] = 1e-300
@@ -190,23 +174,9 @@ def test_threaded_call_keeps_callers_errstate(monkeypatch):
         assert np.array_equal(kernels.trig_product(coeffs, times), py_trig_product(coeffs, times))
 
 
-@pytest.mark.parametrize("raw", ["0", "-1", "x"])
-def test_bad_thread_cap_rejected(monkeypatch, raw):
-    monkeypatch.setenv("QMEAS_THREADS", raw)
-    with pytest.raises(ValidationError, match="QMEAS_THREADS"):
-        kernels.max_workers()
-
-
-def test_thread_cap_default(monkeypatch):
-    monkeypatch.delenv("QMEAS_THREADS", raising=False)
-    assert kernels.max_workers() == min(8, os.cpu_count() or 1)
-    monkeypatch.setenv("QMEAS_THREADS", " 3 ")
-    assert kernels.max_workers() == 3
-
-
 _couplings = st.lists(st.floats(0.01, 3.0), min_size=1, max_size=300).map(np.array)
 # no subnormal angles: an angle that underflows raises FloatingPointError
-# under errstate(all="raise"), as test_threaded_call_keeps_callers_errstate pins
+# under errstate(all="raise"), as test_multi_tile_call_keeps_callers_errstate pins
 _times = st.just(0.0) | st.floats(1e-100, 20.0) | st.floats(-20.0, -1e-100)
 
 
