@@ -33,7 +33,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError, guard_bytes
-from .qstate import SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect
+from .qstate import (SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect,
+                     weighted_magnetization_diag)
 
 # largest N for the analytic (product-form) path; beyond this the per-call
 # cost and coupling storage stop being interactive
@@ -134,6 +135,10 @@ def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
     g = float(g)
     if not (math.isfinite(g) and g > 0.0):
         raise ValidationError("g must be finite and positive")
+    # every grid is in units of tau = 1/(g sqrt(2N)): a g at which it
+    # overflows to inf, or to 0 through g sqrt(2N), is refused undrawn
+    if not 0.0 < 1.0 / (g * math.sqrt(2.0 * N)) < math.inf:
+        raise ValidationError("tau = 1/(g sqrt(2N)) must be finite and positive")
     delta_g_rel = float(delta_g_rel)
     if not 0.0 <= delta_g_rel < 1.0:
         raise ValidationError("delta_g_rel must be in [0, 1)")
@@ -315,11 +320,11 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     idx = np.asarray(list(subset), dtype=np.int64)
     if idx.size != k:
         raise ValidationError("subset must contain exactly k indices")
-    if np.unique(idx).size != k:
-        raise ValidationError("subset indices must be distinct")
-    if idx.size and (idx.min() < 0 or idx.max() >= model.N):
-        raise ValidationError("subset index out of range")
     idx.sort()
+    if np.any(idx[1:] == idx[:-1]):
+        raise ValidationError("subset indices must be distinct")
+    if idx.size and (idx[0] < 0 or idx[-1] >= model.N):
+        raise ValidationError("subset index out of range")
     scalar = np.ndim(times) == 0
     cosines = _cos_product(model.couplings, times, drop=idx)
     cx, cy = _cascade_coefficients(model.r0, k)
@@ -334,21 +339,6 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     if scalar:
         return float(corr_x[0]), float(corr_y[0])
     return corr_x, corr_y
-
-
-def weighted_magnetization_diag(couplings) -> np.ndarray:
-    """Eigenvalues of sum_n g_n sigma_z^(n) over the 2^N computational basis.
-
-    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N
-    with errors.guard_bytes before they call it.
-    """
-    c = np.asarray(couplings, dtype=np.float64)
-    N = c.size
-    a = np.arange(2**N)
-    m = np.zeros(2**N)
-    for n in range(N):
-        m += c[n] * (1 - 2 * ((a >> n) & 1))
-    return m
 
 
 def joint_offdiag_block(model: CurieWeissModel, t: float) -> np.ndarray:

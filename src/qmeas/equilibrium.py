@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError, guard_bytes
-from .qstate import DensityOperator, Observable, dense_diagonal, diagonal_or_none, qexpect
+from .qstate import (DensityOperator, Observable, dense_diagonal, diagonal_or_none, qexpect,
+                     weighted_magnetization_diag)
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
@@ -401,9 +402,6 @@ def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
         raise ValidationError("need at least one spin")
     guard_bytes(_FULL_VECTORS * 8 * 2**n_spins, "full-representation pointer's 2^N vectors",
                 "use reduced=True")
-    # only the full representation needs curie_weiss (and through it kernels)
-    from .curie_weiss import weighted_magnetization_diag
-
     m = weighted_magnetization_diag(np.ones(n_spins))
     h = -(j / (2.0 * n_spins)) * m**2
     return Observable(diagonal=h), Observable(diagonal=m)

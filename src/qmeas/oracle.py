@@ -22,9 +22,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel, weighted_magnetization_diag
+from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
-from .qstate import DensityOperator, dense_diagonal
+from .qstate import DensityOperator, dense_diagonal, weighted_magnetization_diag
 
 # complex128 2^N vectors alive at the peak of a streamed pass: 12.1 for the
 # sector fields, phase vectors and two times' blocks, 12.3 with

@@ -339,3 +339,18 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     else:
         diff = hermitian_eigvalsh(a.matrix - b.matrix)
     return 0.5 * float(np.abs(diff).sum())
+
+
+def weighted_magnetization_diag(couplings) -> np.ndarray:
+    """Eigenvalues of sum_n g_n sigma_z^(n) over the 2^N computational basis.
+
+    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N
+    with errors.guard_bytes before they call it.
+    """
+    c = np.asarray(couplings, dtype=np.float64)
+    N = c.size
+    a = np.arange(2**N)
+    m = np.zeros(2**N)
+    for n in range(N):
+        m += c[n] * (1 - 2 * ((a >> n) & 1))
+    return m

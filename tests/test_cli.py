@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import json
@@ -166,10 +167,10 @@ class TestExitCodes:
         assert err.startswith("qmeas: config:") and "--points" in err
 
     @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
-    @pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-1", "1.5e308"])
     def test_bad_tmax_tau_maps_to_2(self, capsys, monkeypatch, command, tmax):
         # nan and inf gave a non-finite grid only after the draw; -1 gave a
-        # reversed grid and exit 0
+        # reversed grid and exit 0; 1.5e308 gave angles past the float range
         def no_model(*args, **kwargs):
             raise AssertionError("build_model called before --tmax-tau was checked")
 
@@ -382,6 +383,52 @@ class TestOutputs:
         assert out.startswith("qmeas ")
 
 
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        assert _exit_code(["--help"]) == 0
+        listing = capsys.readouterr().out.split("\ncommands:\n", 1)[1]
+        helps = dict(line.split(None, 1) for line in listing.splitlines())
+        assert list(helps) == list(COMMANDS)
+        assert all(h.strip() for h in helps.values())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_0(self, capsys, command):
+        assert _exit_code([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: qmeas {command} ")
+        assert "--selftest" in out
+
+    @pytest.mark.parametrize("argv, message", [(["nosuch"], "invalid choice"),
+                                               ([], "required")], ids=["unknown", "bare"])
+    def test_bad_command_exits_2(self, capsys, argv, message):
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv, parsers", [(["--version"], 1), (["--help"], 1),
+                                               (["chsh"], 2)], ids=["version", "help", "chsh"])
+    def test_run_builds_only_its_parsers(self, capsys, monkeypatch, argv, parsers):
+        # the top-level parser, plus the named command's own
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert _exit_code(argv) == 0
+        assert len(built) == parsers
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about 0.3 s to import; only the commands that solve load it
     code = ("import sys\n"
@@ -424,14 +471,19 @@ def _argparse_baseline() -> set:
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["--version"], {"numpy", "dataclasses", "configparser", "json", "qmeas.selftests"}),
+    (["--version"], {"numpy", "dataclasses", "configparser", "json", "qmeas.selftests",
+                     "qmeas._commands"}),
     (["chsh"], {"qmeas.curie_weiss", "qmeas.equilibrium", "qmeas.oracle", "qmeas.runs"}),
     (["born", "--runs", "1000"], {"qmeas.curie_weiss", "qmeas.contextuality"}),
     (["truncate", "--N", "1000", "--points", "50"],
      {"concurrent.futures", "qmeas.equilibrium", "qmeas.oracle"}),
     (["register", "--N", "200"], {"qmeas.curie_weiss"}),
     (["truncate", "--N", "1000", "--points", "20000"], {"concurrent.futures", "logging"}),
-], ids=["version", "chsh", "born", "truncate", "register", "truncate-past-radius"])
+    (["cascade", "--N", "1000", "--points", "50", "--k", "3"], {"numpy.ma"}),
+    (["oracle-check", "--N", "6", "--points", "20"], {"numpy.ma"}),
+    (["finalstate", "--N", "10"], {"qmeas.curie_weiss", "qmeas.kernels"}),
+], ids=["version", "chsh", "born", "truncate", "register", "truncate-past-radius",
+        "cascade", "oracle-check", "finalstate-full"])
 def test_command_loads_only_its_layers(argv, absent):
     # the fixed cost of a job is the code that job runs
     code, loaded = _run_and_list_modules(argv)
@@ -443,10 +495,17 @@ def test_command_loads_only_its_layers(argv, absent):
     ["recur", "--N", "1000", "--g", "inf"],
     ["cascade", "--N", "100", "--g", "nan", "--k", "1"],
     ["truncate", "--N", "10000000", "--delta-g-rel", "0.1", "--g", "inf"],
-], ids=["recur-inf", "cascade-nan", "truncate-1e7-inf"])
+    ["recur", "--g", "1e-320", "--nu-max", "1", "--seeds", "2"],
+    ["recur", "--N", "100", "--g", "1e-305", "--nu-max", "1000000"],
+    ["cascade", "--N", "50", "--g", "1e308", "--points", "2", "--k", "2"],
+    ["truncate", "--N", "2", "--delta-g-rel", "0.5", "--tmax-tau", "1.5e308",
+     "--points", "2"],
+], ids=["recur-inf", "cascade-nan", "truncate-1e7-inf", "recur-tiny-g", "recur-late-peak",
+        "cascade-tau-0", "truncate-angle-inf"])
 def test_non_finite_coupling_maps_to_2(argv):
-    # refused before any draw: no NaN rows, and no numpy RuntimeWarning from
-    # a non-finite coupling table reaches stderr
+    # refused before any draw: no NaN or inf rows, and no numpy
+    # RuntimeWarning from a non-finite coupling table, tau, peak time or
+    # angle reaches stderr
     script = "import sys\nfrom qmeas.cli import main\nsys.exit(main())\n"
     out = subprocess.run([sys.executable, "-W", "default", "-c", script, *argv],
                          capture_output=True, text=True, env=SRC_ENV)

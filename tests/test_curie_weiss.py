@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmeas import curie_weiss as cw
+from qmeas import qstate
 from qmeas.errors import GuardError, ValidationError
 from qmeas.qstate import bloch_state
 
@@ -32,7 +33,8 @@ class TestBuildModel:
         with pytest.raises(ValidationError):
             cw.build_model(100, 1.0, 2.0, seed=0)
 
-    @pytest.mark.parametrize("g", [np.inf, np.nan, -np.inf, 0.0])
+    # 1e308 and 1e-320 are finite, but tau = 1/(g sqrt(20)) is 0 and inf
+    @pytest.mark.parametrize("g", [np.inf, np.nan, -np.inf, 0.0, 1e308, 1e-320])
     def test_non_finite_or_nonpositive_g_rejected(self, g):
         with pytest.raises(ValidationError, match="finite and positive"):
             cw.build_model(10, g, 0.1, seed=0)
@@ -221,8 +223,12 @@ class TestCascadeCorrelations:
             cw.cascade_correlation(model, 2, (0,), ts)
         with pytest.raises(ValidationError):
             cw.cascade_correlation(model, 2, (1, 1), ts)
+        with pytest.raises(ValidationError, match="distinct"):
+            cw.cascade_correlation(model, 3, (4, 1, 4), ts)
         with pytest.raises(ValidationError):
             cw.cascade_correlation(model, 2, (0, 6), ts)
+        with pytest.raises(ValidationError, match="out of range"):
+            cw.cascade_correlation(model, 2, (3, -1), ts)
 
 
 class TestProductsNearTheSubnormalRange:
@@ -256,6 +262,10 @@ class TestProductsNearTheSubnormalRange:
 
 
 class TestJointOffdiagBlock:
+    def test_magnetization_diagonal_is_the_qstate_one(self):
+        # equilibrium's full pointer reads it from qstate, without this layer
+        assert cw.weighted_magnetization_diag is qstate.weighted_magnetization_diag
+
     def test_initial_block_is_uniform(self):
         model = cw.build_model(4, 1.0)
         block = cw.joint_offdiag_block(model, 0.0)
