@@ -216,7 +216,9 @@ def _cmd_truncate(args) -> dict:
 
     model, grid = _model_and_grid(args)
     res = curie_weiss.transverse_expectations(model, grid)
-    env = res.sx0 * np.exp(-((grid / res.tau) ** 2))
+    # (t/tau)^2 overflows past t/tau ~ 1.3e154; the envelope is exactly 0 long
+    # before, so the ratio is capped where its square is still finite
+    env = res.sx0 * np.exp(-(np.minimum(grid / res.tau, 1e154) ** 2))
     rows = list(zip(grid.tolist(), res.sx.tolist(), res.sy.tolist(), env.tolist()))
     return {"columns": ["t", "sx", "sy", "gaussian_envelope"], "rows": rows}
 
@@ -447,26 +449,26 @@ def _cmd_feasible(args) -> dict:
 
 
 def _cmd_oracle_check(args) -> dict:
+    import numpy as np
+
     from . import curie_weiss, oracle
 
     oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
     subsets = [tuple(range(k)) for k in range(1, min(3, model.N) + 1)]
     res = curie_weiss.transverse_expectations(model, grid)
-    f_analytic = curie_weiss.offdiag_factor(model, grid)
-    cascades = {s: curie_weiss.cascade_correlation(model, len(s), s, grid) for s in subsets}
-    dev = {"f": 0.0, "sx": 0.0, "sy": 0.0}
-    dev.update({f"cascade_k{len(s)}": 0.0 for s in subsets})
-    for idx, sb in enumerate(oracle.iter_sector_blocks(model, grid)):
-        exp = oracle.block_expectations(sb, subsets=subsets)
-        dev["f"] = max(dev["f"], abs(exp["f"] - f_analytic[idx]))
-        dev["sx"] = max(dev["sx"], abs(exp["sx"] - res.sx[idx]))
-        dev["sy"] = max(dev["sy"], abs(exp["sy"] - res.sy[idx]))
-        for s in subsets:
-            ox, oy = exp["cascade"][s]
-            ax, ay = cascades[s][0][idx], cascades[s][1][idx]
-            dev[f"cascade_k{len(s)}"] = max(dev[f"cascade_k{len(s)}"],
-                                            abs(ox - ax), abs(oy - ay))
+    obs = oracle.grid_expectations(model, grid, subsets)
+
+    def worst(*pairs) -> float:
+        return max(float(np.max(np.abs(got - want))) for got, want in pairs)
+
+    dev = {"f": worst((obs["f"], curie_weiss.offdiag_factor(model, grid))),
+           "sx": worst((obs["sx"], res.sx)),
+           "sy": worst((obs["sy"], res.sy))}
+    for s in subsets:
+        ax, ay = curie_weiss.cascade_correlation(model, len(s), s, grid)
+        ox, oy = obs["cascade"][s]
+        dev[f"cascade_k{len(s)}"] = worst((ox, ax), (oy, ay))
     return {
         "n": model.N,
         "points": len(grid),
@@ -480,7 +482,7 @@ def _cmd_appc_report(args) -> dict:
 
     oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
-    rep = oracle.appendix_c_report(oracle.iter_sector_blocks(model, grid))
+    rep = oracle.appendix_c_grid(model, grid)
     cols = ["t", "invariant_deviation", "sx"]
     series = [rep.times.tolist(), rep.invariant_deviation.tolist(), rep.sx.tolist()]
     for k in sorted(rep.correlators):
@@ -609,14 +611,18 @@ _COMMANDS = {
 def configure(argv: list[str]) -> tuple[list[str], dict]:
     """argv, led by the command the --config file names when argv names
     none, and the file's key = value settings (empty without --config)."""
+    from .cli import names_config
+
     path = None
     for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ValidationError("--config needs a path")
-            path = argv[i + 1]
-        elif token.startswith("--config="):
+        if not names_config(token):
+            continue
+        if "=" in token:
             path = token.split("=", 1)[1]
+        elif i + 1 < len(argv):
+            path = argv[i + 1]
+        else:
+            raise ValidationError("--config needs a path")
     if path is None:
         return argv, {}
     try:
@@ -634,10 +640,14 @@ def configure(argv: list[str]) -> tuple[list[str], dict]:
 
 
 def _config_defaults(parser: argparse.ArgumentParser, flat: dict) -> dict:
+    # configparser lowercases keys, so `N = 20` arrives as n: options match
+    # their dests case-insensitively (no command has two dests that differ
+    # only in case)
     defaults = {}
     for action in parser._actions:
-        if action.dest in flat:
-            raw = flat[action.dest]
+        key = action.dest.lower()
+        if key in flat:
+            raw = flat[key]
             if action.type is not None:
                 try:
                     defaults[action.dest] = action.type(raw)

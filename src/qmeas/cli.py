@@ -78,11 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def names_config(token: str) -> bool:
+    """Whether argparse reads token as --config: the option or any prefix of
+    it that argparse accepts (--conf), alone or with =path."""
+    name = token.split("=", 1)[0]
+    return len(name) > 2 and "--config".startswith(name)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         settings = {}
-        if any(token.startswith("--config") for token in argv):
+        if any(names_config(token) for token in argv):
             from ._commands import configure
 
             argv, settings = configure(argv)

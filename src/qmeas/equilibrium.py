@@ -225,9 +225,12 @@ def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: f
 
 
 def _check_jt(j: float, t: float) -> None:
-    # NaN fails every comparison and inf passes "> 0": test finiteness first
+    # NaN fails every comparison and inf passes "> 0": test finiteness first;
+    # a subnormal T passes both, but 1/T overflows in every Gibbs exponent
     if not (math.isfinite(j) and math.isfinite(t)) or j <= 0 or t <= 0:
         raise ValidationError("J and T must be finite and positive")
+    if not math.isfinite(1.0 / t):
+        raise ValidationError(f"T = {t!r} must be finite and positive with a finite 1/T")
 
 
 def _check_field(field: float) -> None:
@@ -535,6 +538,7 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
     operator is kept as its diagonal; the full 2^N representation is refused
     past a byte guard on those vectors (about N = 22).
     """
+    _check_jt(j, temperature)
     if temperature >= j:
         raise ValidationError("no ferromagnetic pointer above the Curie temperature")
     if reduced:

@@ -5,11 +5,21 @@ W_ij(t) = r_ij(0) * R_ij(t), with R_ij(t) = U_i(t) (I/2^N) U_j(t)^dagger and
 U_i generated by K_i = h_i, the magnet field selected by tested sector i.
 Ideality fixes this generator: the tested s_z is conserved and the magnet
 energy is a function of M_z, so every K_i is diagonal and the evolution is
-pure dephasing.  The propagators are then exact phase vectors, there is no
-time-stepping error, and each block is kept as its length-2^N diagonal.
-Everything the analytic layer claims (F, transverse series, cascade
-correlators) is recomputed here from the 2^N basis sums and compared at
-small N.
+pure dephasing.  The diagonal blocks W_ii = r_ii I/2^N never move, and the
+off-diagonal block is W_01(t) = (r_01/2^N) e^{-it(K_0 - K_1)}: one phase per
+basis state and time, with no time-stepping error, kept as its length-2^N
+diagonal.  Everything the analytic layer claims (F, transverse series,
+cascade correlators) is recomputed here from the 2^N basis sums and
+compared at small N.
+
+A time grid is evaluated in tiles of at most _TILE complex entries per
+numpy call: the phase rows come from np.cos and np.sin of the outer product
+of times and K_1 - K_0, and F, s_x, s_y and the cascade correlators are row
+sums and matrix-vector products over the tile (grid_expectations,
+appendix_c_grid).  sector_blocks_at, iter_sector_blocks and
+dense_joint_evolution are one-row views of the same tiles, and
+block_expectations and appendix_c_report apply the same row observables to
+a SectorBlocks' stored block.
 
 Sizes are bounded by errors.guard_bytes: the oracle reaches N = 22.
 """
@@ -26,10 +36,11 @@ from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
 from .qstate import DensityOperator, dense_diagonal, weighted_magnetization_diag
 
-# complex128 2^N vectors alive at the peak of a streamed pass: 12.1 for the
-# sector fields, phase vectors and two times' blocks, 12.3 with
-# block_expectations or appendix_c_report consuming them and three cached
-# int8 sign vectors (tracemalloc, N = 14..18)
+# complex128 2^N vectors alive at the peak of a pass (tracemalloc, N = 14..18,
+# three cached float64 sign vectors included): 4.5-4.8 for grid_expectations
+# with the invariant, 8.0-8.6 for iter_sector_blocks consumed by
+# block_expectations or appendix_c_report, which hold the shared diagonal
+# blocks and two times' up-down blocks and their conjugates
 _DIAG_VECTORS = 13
 # complex128 4^N matrices alive in reconstruct_joint: the four blocks, the
 # 2^(N+1)-square joint and its validation (tracemalloc, N = 8, 9)
@@ -39,6 +50,11 @@ _TRACE_TOL = 1e-12
 # entries per slice of the W_ji = conj(W_ij) check: its temporaries stay a
 # small fraction of one 2^N vector
 _PAIR_CHUNK = 1 << 12
+# complex entries per numpy call of the tile core: a tile holds _TILE // 2^N
+# times (one time from N = 13 on, its phase filled in slices of _TILE), so
+# below N = 13 a grid's temporaries stay near 0.5 MB whatever its length
+# (tracemalloc, N = 10, with the invariant and three cascade subsets)
+_TILE = 1 << 13
 
 
 class BlockMap(Mapping):
@@ -131,53 +147,149 @@ def guard_spins(n_spins: int) -> None:
                     "use the analytic layer at this N")
 
 
-def _sector_fields(model: CurieWeissModel) -> tuple[np.ndarray, np.ndarray]:
-    # tested sectors ordered (+1, -1); coupling favors magnetization with the
-    # tested spin's sign, so sector s gets the field -s * sum_n g_n sigma_z
-    guard_spins(model.N)
-    m = weighted_magnetization_diag(model.couplings)
-    return -m, +m
-
-
 def _sector_weights(model: CurieWeissModel) -> np.ndarray:
-    return np.asarray(model.r0.matrix, dtype=np.complex128).copy()
+    """r0 as read-only complex sector weights, checked once per run: the
+    diagonal blocks r_ii I/2^N carry these traces at every time.  Every run
+    starts here, so the size guard comes before any 2^N array."""
+    guard_spins(model.N)
+    w = np.array(model.r0.matrix, dtype=np.complex128)
+    if abs(w[0, 0] + w[1, 1] - 1.0) > _TRACE_TOL:
+        raise ValidationError("diagonal block traces must sum to 1")
+    w.setflags(write=False)
+    return w
 
 
-def _projectors() -> tuple[np.ndarray, np.ndarray]:
-    return np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j])
+def _phase_tiles(model: CurieWeissModel, times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(t, phase) per tile of the grid: phase[r, j] = e^{-i t_r (K_0 - K_1)_j}
+    on basis state j, one cos and one sin per entry.
+
+    Tested sectors are ordered (+1, -1); coupling favors magnetization with
+    the tested spin's sign, so sector s gets the field -s * sum_n g_n sigma_z
+    and K_1 - K_0 = 2 sum_n g_n sigma_z.  Each tile is a new array, so a row
+    may outlive the next tile.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    dk = weighted_magnetization_diag(model.couplings)
+    dk *= 2.0
+    cols = min(dk.size, _TILE)
+    rows = _TILE // cols
+    angle = np.empty((rows, cols))
+    for lo in range(0, times.size, rows):
+        t = times[lo:lo + rows]
+        phase = np.empty((t.size, dk.size), dtype=np.complex128)
+        for c in range(0, dk.size, cols):
+            a = np.multiply.outer(t, dk[c:c + cols], out=angle[:t.size])
+            np.cos(a, out=phase[:, c:c + cols].real)
+            np.sin(a, out=phase[:, c:c + cols].imag)
+        yield t, phase
 
 
-def sector_blocks_at(model: CurieWeissModel, t: float,
-                     _fields: tuple | None = None) -> SectorBlocks:
-    """Joint state at one time, as weighted sector blocks stored as their
-    diagonals; _fields are the precomputed sector fields of a streamed run."""
-    fields = _fields if _fields is not None else _sector_fields(model)
+@lru_cache(maxsize=3)
+def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
+    # the sigma_z-product diagonal as float64 +-1, cached: a run asks for the
+    # same subsets (k = 1..3 in oracle-check and appc-report) at every tile
+    a = np.arange(2**n_spins)
+    parity = np.zeros_like(a)
+    for n in subset:
+        parity ^= a >> n
+    z = (1 - 2 * (parity & 1)).astype(np.float64)
+    z.setflags(write=False)
+    return z
+
+
+def _observables(rows: np.ndarray, weight: complex, norm: complex,
+                 subsets: Iterable[tuple] = (), invariant: bool = False) -> dict:
+    """Observables of each row, as arrays over the rows, keyed "f", "sx",
+    "sy", (subset, "x") and (subset, "y") for the cascade correlators and,
+    with invariant, "invariant_deviation".
+
+    weight * rows is the weighted block W_01 and norm * rows the bare block
+    R_01, stored as diagonals: F = tr R_01, and <s_a (x) O> picks the
+    up-down block, 2 Re tr(W_01 O) for s_x and -2 Im tr(W_01 O) for s_y (the
+    conjugate block carries the other half).  Cascade correlators take O as
+    the sigma_z product over each magnet subset; the invariant deviation is
+    the largest entry of |R R^dagger - I/2^(2N)|.
+    """
+    dim = rows.shape[1]
+    n_spins = dim.bit_length() - 1
+    s = rows.sum(axis=1)
+    tr = weight * s
+    out = {"f": (norm * s).real, "sx": 2.0 * tr.real, "sy": -2.0 * tr.imag}
+    # (re, im) pairs, so that the float signs meet the rows in one product
+    pairs = rows.view(np.float64).reshape(rows.shape[0], dim, 2)
+    for subset in subsets:
+        key = tuple(int(n) for n in subset)
+        c = weight * (_zprod_signs(n_spins, key) @ pairs).view(np.complex128)[:, 0]
+        out[key, "x"], out[key, "y"] = 2.0 * c.real, -2.0 * c.imag
+    if invariant:
+        # a diagonal block's Gram matrix is |R|^2 on the diagonal
+        gram = (np.abs(rows) * abs(norm)) ** 2
+        out["invariant_deviation"] = np.max(np.abs(gram - 1.0 / dim**2), axis=1)
+    return out
+
+
+def _nest(flat: dict) -> dict:
+    """block_expectations' layout: the cascade pairs under "cascade", keyed
+    by subset."""
+    out = {key: v for key, v in flat.items() if isinstance(key, str)}
+    out["cascade"] = {key[0]: (v, flat[key[0], "y"]) for key, v in flat.items()
+                      if isinstance(key, tuple) and key[1] == "x"}
+    return out
+
+
+def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = (),
+                      invariant: bool = False) -> dict:
+    """block_expectations over a whole time grid, tile by tile: "f", "sx",
+    "sy" and each "cascade" pair are arrays over the times.  With
+    invariant, "invariant_deviation" holds the Appendix C check per time.
+    Past the tile, memory grows only by these arrays."""
     w = _sector_weights(model)
-    t = float(t)
-    us = [np.exp(-1j * t * k) for k in fields]
-    inv_dim = 1.0 / 2**model.N
-    blocks = {}
-    for i in range(2):
-        for j in range(i, 2):
-            wij = w[i, j] * inv_dim * us[i] * np.conj(us[j])
-            blocks[(i, j)] = wij
-            if j != i:
-                blocks[(j, i)] = wij.conj()
-    return SectorBlocks(time=t, projectors=_projectors(), sector_weights=w,
-                        blocks=BlockMap(blocks))
+    dim = 2**model.N
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if times.size == 0:
+        raise ValidationError("no times supplied")
+    subsets = list(subsets)
+    flat, lo = {}, 0
+    for t, phase in _phase_tiles(model, times):
+        for key, v in _observables(phase, w[0, 1] / dim, 1.0 / dim, subsets,
+                                   invariant).items():
+            flat.setdefault(key, np.empty(times.size))[lo:lo + t.size] = v
+        lo += t.size
+    return _nest(flat)
 
 
 def iter_sector_blocks(model: CurieWeissModel, times) -> Iterator[SectorBlocks]:
-    """Stream SectorBlocks over a grid without holding them all in memory."""
-    fields = _sector_fields(model)
-    for t in np.atleast_1d(np.asarray(times, dtype=np.float64)):
-        yield sector_blocks_at(model, float(t), _fields=fields)
+    """Stream SectorBlocks over a grid without holding them all in memory:
+    the rows of each phase tile, weighted in place.  The diagonal blocks,
+    weights and projectors are formed once and shared read-only."""
+    w = _sector_weights(model)
+    dim = 2**model.N
+    shared = {(i, i): np.full(dim, w[i, i] / dim) for i in range(2)}
+    projectors = (np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]))
+    for a in (*shared.values(), *projectors):
+        a.setflags(write=False)
+    for t, phase in _phase_tiles(model, times):
+        phase *= w[0, 1] / dim
+        conj = phase.conj()
+        for tile in (phase, conj):
+            tile.setflags(write=False)
+        for r in range(t.size):
+            blocks = dict(shared)
+            blocks[(0, 1)], blocks[(1, 0)] = phase[r], conj[r]
+            yield SectorBlocks(time=float(t[r]), projectors=projectors,
+                               sector_weights=w, blocks=BlockMap(blocks))
+
+
+def sector_blocks_at(model: CurieWeissModel, t: float) -> SectorBlocks:
+    """Joint state at one time, as weighted sector blocks stored as their
+    diagonals: a one-row tile."""
+    return next(iter_sector_blocks(model, [float(t)]))
 
 
 def dense_joint_evolution(model: CurieWeissModel, times) -> list[SectorBlocks]:
-    """Materialized block evolution; guarded by the bytes its blocks take
-    (four 2^N-entry blocks per time).  Use iter_sector_blocks for long grids
-    at large N."""
+    """Materialized block evolution; guarded as if each time held four
+    2^N-entry blocks (the two diagonal ones are shared across times).  Use
+    iter_sector_blocks for long grids at large N."""
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     guard_bytes(t.size * 4 * 2**model.N * 16, "dense evolution", "use iter_sector_blocks")
     return list(iter_sector_blocks(model, t))
@@ -198,83 +310,73 @@ def reconstruct_joint(sb: SectorBlocks, r0: DensityOperator) -> DensityOperator:
     return DensityOperator(joint, subsystem_dims=(2, dim_m))
 
 
-@lru_cache(maxsize=3)
-def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
-    # the sigma_z-product diagonal as int8 +-1, cached: a run asks for the
-    # same subsets (k = 1..3 in oracle-check and appc-report) at every time
-    a = np.arange(2**n_spins)
-    parity = np.zeros_like(a)
-    for n in subset:
-        parity ^= a >> n
-    z = (1 - 2 * (parity & 1)).astype(np.int8)
-    z.setflags(write=False)
-    return z
+def _block_rows(sb: SectorBlocks, subsets: Iterable[tuple], invariant: bool) -> dict:
+    # the stored up-down block as a one-row tile: weight 1, and the bare
+    # block is W_01 / r_01 (F is undefined when r_01 = 0)
+    r_ud = complex(sb.sector_weights[0, 1])
+    norm = 1.0 / r_ud if r_ud != 0 else float("nan")
+    w01 = np.ascontiguousarray(sb.blocks.diag((0, 1)), dtype=np.complex128)
+    return {key: float(v[0]) for key, v in
+            _observables(w01[None, :], 1.0, norm, subsets, invariant).items()}
 
 
 def block_expectations(sb: SectorBlocks, subsets: Iterable[tuple] = ()) -> dict:
     """Observables straight from the block diagonals: F, sx, sy, and correlators
     of (s_x, s_y) with sigma_z products over the given magnet subsets."""
-    diag_ud = sb.blocks.diag((0, 1))
-    r_ud = complex(sb.sector_weights[0, 1])
-    n_spins = diag_ud.shape[0].bit_length() - 1
-    tr = complex(diag_ud.sum())
-    # <s_a (x) O> picks the up-down block: 2 Re tr(W01 O) for s_x and
-    # -2 Im tr(W01 O) for s_y (the conjugate block carries the other half)
-    out = {
-        "f": float((tr / r_ud).real) if r_ud != 0 else float("nan"),
-        "sx": 2.0 * tr.real,
-        "sy": -2.0 * tr.imag,
-        "cascade": {},
-    }
-    for subset in subsets:
-        # np.dot casts the signs to complex +-1.0 before the BLAS sum
-        z = _zprod_signs(n_spins, tuple(int(n) for n in subset))
-        c = complex(np.dot(diag_ud, z))
-        out["cascade"][tuple(subset)] = (2.0 * c.real, -2.0 * c.imag)
-    return out
+    return _nest(_block_rows(sb, subsets, invariant=False))
+
+
+def _report(n_spins: int, times: np.ndarray, obs: dict, deviation_tol: float) -> AppendixCReport:
+    devs = obs["invariant_deviation"]
+    small = n_spins == 1
+    msg = "invariant holds to %.1e at %d times" % (float(devs.max(initial=0.0)), times.size)
+    if small:
+        msg += "; N=1: single cosine, no macroscopic limit"
+    return AppendixCReport(
+        n_spins=n_spins,
+        times=times,
+        invariant_deviation=devs,
+        invariant_ok=bool(np.all(devs <= deviation_tol)),
+        sx=obs["sx"],
+        correlators={len(s): xy[0] for s, xy in obs["cascade"].items()},
+        no_macroscopic_limit=small,
+        message=msg,
+    )
+
+
+def _prefixes(n_spins: int, max_k: int) -> list[tuple]:
+    return [tuple(range(k)) for k in range(1, min(max_k, n_spins) + 1)]
+
+
+def _need_transverse(r_ud: complex) -> None:
+    if r_ud == 0:
+        raise ValidationError("appendix_c_report needs a transverse initial "
+                              "component (r0 off-diagonal)")
 
 
 def appendix_c_report(blocks: Iterable[SectorBlocks], deviation_tol: float = 1e-12,
                       max_k: int = 3) -> AppendixCReport:
     """Check R R^dagger = I/2^(2N) per time while recording the decay of the
     accessible observables; consumes any SectorBlocks iterable (streaming)."""
-    times, devs, sx = [], [], []
-    corr: dict = {}
+    times, flat = [], {}
     n_spins = None
     for sb in blocks:
-        r_ud = complex(sb.sector_weights[0, 1])
-        if r_ud == 0:
-            raise ValidationError("appendix_c_report needs a transverse initial "
-                                  "component (r0 off-diagonal)")
-        d = sb.blocks.diag((0, 1))
-        dim = d.shape[0]
+        _need_transverse(complex(sb.sector_weights[0, 1]))
         if n_spins is None:
-            n_spins = dim.bit_length() - 1
-            corr = {k: [] for k in range(1, min(max_k, n_spins) + 1)}
-        target = 1.0 / dim**2
-        # a diagonal block's Gram matrix is |d|^2 on the diagonal
-        dev = float(np.max(np.abs((np.abs(d) / abs(r_ud)) ** 2 - target)))
-        exp = block_expectations(sb, subsets=[tuple(range(k)) for k in corr])
+            n_spins = sb.blocks.diag((0, 1)).shape[0].bit_length() - 1
         times.append(sb.time)
-        devs.append(dev)
-        sx.append(exp["sx"])
-        for k in corr:
-            corr[k].append(exp["cascade"][tuple(range(k))][0])
+        for key, v in _block_rows(sb, _prefixes(n_spins, max_k), invariant=True).items():
+            flat.setdefault(key, []).append(v)
     if n_spins is None:
         raise ValidationError("no blocks supplied")
-    devs_arr = np.asarray(devs)
-    ok = bool(np.all(devs_arr <= deviation_tol))
-    small = n_spins == 1
-    msg = "invariant holds to %.1e at %d times" % (float(devs_arr.max(initial=0.0)), len(times))
-    if small:
-        msg += "; N=1: single cosine, no macroscopic limit"
-    return AppendixCReport(
-        n_spins=n_spins,
-        times=np.asarray(times),
-        invariant_deviation=devs_arr,
-        invariant_ok=ok,
-        sx=np.asarray(sx),
-        correlators={k: np.asarray(v) for k, v in corr.items()},
-        no_macroscopic_limit=small,
-        message=msg,
-    )
+    obs = _nest({key: np.asarray(v) for key, v in flat.items()})
+    return _report(n_spins, np.asarray(times), obs, deviation_tol)
+
+
+def appendix_c_grid(model: CurieWeissModel, times, deviation_tol: float = 1e-12,
+                    max_k: int = 3) -> AppendixCReport:
+    """appendix_c_report over a whole time grid, tile by tile."""
+    _need_transverse(complex(model.r0.matrix[0, 1]))
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    obs = grid_expectations(model, times, _prefixes(model.N, max_k), invariant=True)
+    return _report(model.N, times, obs, deviation_tol)

@@ -78,6 +78,24 @@ class TestConfig:
         assert data["total"] == 75
         assert data["seed"] == 9
 
+    def test_config_sets_uppercase_dest(self, capsys, tmp_path):
+        # configparser reads `N = 20` as the key n; it must still set --N
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\ncommand = finalstate\n[x]\nreduced = yes\nN = 20\n")
+        code, out, _ = run_cli(capsys, "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["magnet_dim"] == 21
+
+    def test_no_command_has_dests_differing_only_in_case(self):
+        # config keys reach the options case-insensitively
+        from qmeas import _commands
+        for command, (add_options, _) in _commands._COMMANDS.items():
+            parser = argparse.ArgumentParser()
+            _commands._add_common(parser)
+            add_options(parser)
+            dests = {action.dest for action in parser._actions}
+            assert len({d.lower() for d in dests}) == len(dests), command
+
     def test_missing_config_is_config_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "born", "--config",
                                str(tmp_path / "absent.ini"))
@@ -577,3 +595,63 @@ def test_no_selftest_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=SRC_ENV, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def _run_subprocess(argv, cwd=None):
+    script = "import sys\nfrom qmeas.cli import main\nsys.exit(main())\n"
+    return subprocess.run([sys.executable, "-W", "default", "-c", script, *argv],
+                          capture_output=True, text=True, env=SRC_ENV, cwd=cwd)
+
+
+@pytest.mark.parametrize("argv", [
+    ["born", "--conf", "r5.ini"],
+    ["born", "--conf=r5.ini"],
+    ["born", "--c", "r5.ini"],
+    ["--con", "r5.ini"],
+    ["born", "--confi=r5.ini", "--seed", "3"],
+])
+def test_config_prefix_loads_the_file(tmp_path, argv):
+    # argparse takes any unambiguous prefix of --config; the file is read
+    (tmp_path / "r5.ini").write_text("[run]\ncommand = born\n[born]\nruns = 5\n")
+    out = _run_subprocess(argv, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["total"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--co", "r5.ini"],
+    ["born", "--conf"],
+    ["born", "--conf=absent.ini"],
+])
+def test_config_prefix_never_ignores_the_file(tmp_path, argv):
+    # an ambiguous prefix (--co: --config or --correlators), a missing path
+    # or an unreadable file exits 2 before any run
+    (tmp_path / "r5.ini").write_text("[run]\ncommand = born\n[born]\nruns = 5\n")
+    out = _run_subprocess(argv, cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["finalstate", "--N", "2", "--J", "1e6", "--T", "1e-320"],
+    ["register", "--J", "0.5", "--T", "1e-320", "--N", "1000"],
+    ["finalstate", "--N", "8", "--J", "1e-12", "--T", "-0.0"],
+], ids=["finalstate-subnormal-T", "register-subnormal-T", "finalstate-negative-zero-T"])
+def test_temperature_refused_before_gibbs(argv):
+    # 1/T must be finite before any Gibbs exponent is formed: the refusal
+    # names T and no RuntimeWarning precedes it
+    out = _run_subprocess(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmeas: config:") and "T" in out.stderr
+    assert "finite and positive" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_truncate_envelope_past_square_overflow_warns_nothing():
+    # (t/tau)^2 overflows at the grid end; the envelope there is exactly 0
+    out = _run_subprocess(["truncate", "--tmax-tau", "1e300", "--points", "20"])
+    assert out.returncode == 0
+    assert "Warning" not in out.stderr
+    last = out.stdout.splitlines()[-1].split(",")
+    assert float(last[3]) == 0.0

@@ -1,8 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qmeas import cli
 from qmeas import curie_weiss as cw
 from qmeas import oracle
 from qmeas.errors import GuardError, ValidationError
@@ -187,3 +189,103 @@ class TestAppendixCReport:
         model = cw.build_model(3, 1.0, 0.0, 0, bloch_state((0, 0, 1)))
         with pytest.raises(ValidationError):
             oracle.appendix_c_report(oracle.iter_sector_blocks(model, np.array([0.0])))
+
+
+class TestTiles:
+    SUBSETS = [(0,), (0, 1), (0, 1, 2), (3, 1)]
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_tile_rows_bit_equal_single_time(self, n):
+        # 2^13 / 2^N times share a tile; every position, the partial last
+        # tile included, gives the one-time block bit for bit
+        model = spread_model(n)
+        times = np.linspace(0.0, 2.5, 75)
+        rows = oracle._TILE // 2**n
+        for idx, sb in enumerate(oracle.iter_sector_blocks(model, times)):
+            if idx % rows in (0, 1, rows - 1) or idx == len(times) - 1:
+                one = oracle.sector_blocks_at(model, times[idx])
+                assert sb.time == one.time
+                for key in ((0, 1), (1, 0)):
+                    assert np.array_equal(sb.blocks.diag(key), one.blocks.diag(key))
+
+    def test_grid_equals_its_halves(self):
+        model = spread_model(10)
+        times = np.linspace(0.0, 3.0, 61)
+        whole = oracle.grid_expectations(model, times, self.SUBSETS, invariant=True)
+        # 37 splits a tile of 8 times
+        halves = [oracle.grid_expectations(model, part, self.SUBSETS, invariant=True)
+                  for part in (times[:37], times[37:])]
+        for key in ("f", "sx", "sy", "invariant_deviation"):
+            joined = np.concatenate([h[key] for h in halves])
+            assert np.max(np.abs(whole[key] - joined)) <= 1e-15
+        for s in self.SUBSETS:
+            for i in range(2):
+                joined = np.concatenate([h["cascade"][s][i] for h in halves])
+                assert np.max(np.abs(whole["cascade"][s][i] - joined)) <= 1e-15
+
+    def test_grid_matches_streamed_blocks(self):
+        model = spread_model(9)
+        times = np.linspace(0.0, 2.0, 23)
+        grid = oracle.grid_expectations(model, times, self.SUBSETS)
+        for idx, sb in enumerate(oracle.iter_sector_blocks(model, times)):
+            one = oracle.block_expectations(sb, self.SUBSETS)
+            for key in ("f", "sx", "sy"):
+                assert grid[key][idx] == pytest.approx(one[key], abs=1e-15)
+            for s in self.SUBSETS:
+                assert grid["cascade"][s][0][idx] == pytest.approx(one["cascade"][s][0], abs=1e-15)
+                assert grid["cascade"][s][1][idx] == pytest.approx(one["cascade"][s][1], abs=1e-15)
+
+    def test_memory_stays_at_one_tile(self):
+        # past one tile's temporaries, a grid adds only its output arrays
+        model = spread_model(10)
+        peaks = {}
+        for points in (200, 2000):
+            times = np.linspace(0.0, 3.0, points)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                oracle.grid_expectations(model, times, self.SUBSETS[:3], invariant=True)
+                peaks[points] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] < 2**20
+        # ten float64 output arrays grow by 1800 entries each
+        assert peaks[2000] - peaks[200] < 16 * 8 * 1800
+
+    @pytest.mark.parametrize("r0", [(0.4, -0.5, 0.3), (0.9, 0.1, 0.2), (0.3, 0.7, 0.1)])
+    def test_time_zero_row_is_exact_under_raise(self, r0):
+        # F comes from the bare phase sum, not from the weighted block
+        # divided by its weight: no rounding at t = 0 for any r0
+        model = spread_model(10, r0=r0)
+        with np.errstate(all="raise"):
+            obs = oracle.grid_expectations(model, [0.0, 0.4], self.SUBSETS, invariant=True)
+        assert obs["f"][0] == 1.0
+        assert obs["invariant_deviation"][0] == 0.0
+
+    @pytest.mark.parametrize("n, points", [(10, 200), (16, 20)])
+    def test_oracle_check_deviations_at_rounding(self, capsys, n, points):
+        code = cli.main(["oracle-check", "--N", str(n), "--delta-g-rel", "0.1",
+                         "--points", str(points)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["points"] == points
+        assert max(out["max_abs_deviation"].values()) <= 1e-14
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError):
+            oracle.grid_expectations(spread_model(4), [])
+
+    def test_appendix_c_grid_matches_streamed_report(self):
+        model = spread_model(8)
+        times = np.linspace(0.0, 2.0, 30)
+        grid = oracle.appendix_c_grid(model, times)
+        streamed = oracle.appendix_c_report(oracle.iter_sector_blocks(model, times))
+        assert grid.invariant_ok and streamed.invariant_ok
+        assert np.array_equal(grid.times, streamed.times)
+        assert np.max(np.abs(grid.sx - streamed.sx)) <= 1e-15
+        assert set(grid.correlators) == set(streamed.correlators) == {1, 2, 3}
+        for k in grid.correlators:
+            assert np.max(np.abs(grid.correlators[k] - streamed.correlators[k])) <= 1e-15
+        with pytest.raises(ValidationError):
+            oracle.appendix_c_grid(cw.build_model(3, 1.0, 0.0, 0, bloch_state((0, 0, 1))),
+                                   times)
