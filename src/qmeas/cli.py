@@ -18,8 +18,19 @@ qmeas._commands, loaded once a command is named; a run builds that
 command's parser alone, and the body imports numpy and its own layers.  The
 selftests (qmeas.selftests), configparser and json load only when
 --selftest, --config or JSON output asks for them.
+
+Once a command is named, main registers gc.freeze as an exit hook.  A
+process that has imported numpy otherwise spends tens of milliseconds after
+its output is written in the interpreter's final cyclic-GC collections over
+numpy's objects.  Freezing moves every live object to the permanent
+generation, which those collections skip; the atexit handlers, the flush of
+stdout and stderr and module teardown by reference count all still run, and
+--out files are closed by then.  --version, --help and a bad command exit
+from the top-level parser before the hook is registered.
 """
 import argparse
+import atexit
+import gc
 import importlib
 import sys
 
@@ -94,6 +105,10 @@ def main(argv: list[str] | None = None) -> int:
 
             argv, settings = configure(argv)
         top = build_parser().parse_args(argv)
+        # skip the final GC sweep at exit (module docstring); unregister
+        # first so that repeated in-process calls keep one hook
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
         from . import _commands
 
         args = _commands.parse(top.command, top.args, settings)

@@ -281,19 +281,12 @@ def recurrence_profile(model: CurieWeissModel, nu_max: int) -> list[RecurrencePe
     if nu_max < 1:
         raise ValidationError("nu_max must be >= 1")
     K = 0.5 * model.N * (np.pi * model.delta_g_rms / model.g) ** 2
-    t_peaks = np.arange(1, nu_max + 1) * (np.pi / (2.0 * model.g))
+    nu = np.arange(1, nu_max + 1)
+    t_peaks = nu * (np.pi / (2.0 * model.g))
     measured = np.abs(_cos_product(model.couplings, t_peaks, shift=model.g))
-    out = []
-    for nu in range(1, nu_max + 1):
-        out.append(
-            RecurrencePeak(
-                nu=nu,
-                time=float(t_peaks[nu - 1]),
-                measured=float(measured[nu - 1]),
-                predicted=float(np.exp(-K * nu * nu)),
-            )
-        )
-    return out
+    predicted = np.exp(-K * nu * nu)
+    return [RecurrencePeak(*peak) for peak in zip(nu.tolist(), t_peaks.tolist(),
+                                                  measured.tolist(), predicted.tolist())]
 
 
 def _cascade_coefficients(r0: DensityOperator, k: int) -> tuple[float, float]:

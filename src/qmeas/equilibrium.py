@@ -354,6 +354,13 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     the result is flagged converged=False and the last value is reported.
     """
     scales = np.asarray(h_scale_sequence, dtype=np.float64)
+    # s * max|source| in Python floats: an overflow gives inf here, not a
+    # RuntimeWarning from the scaled Observable
+    peak = float(np.max(np.abs(source.diagonal if source.diagonal is not None
+                                else source.matrix)))
+    if not all(math.isfinite(s) and math.isfinite(s * peak) for s in scales.tolist()):
+        raise ValidationError(f"scales {scales.tolist()} must be finite, and so must each "
+                              f"scale times the largest source entry {peak:g}")
     if scales.size == 0 or np.any(scales <= 0):
         raise ValidationError("scales must be positive")
     if scales.size > 1 and np.ptp(scales) > 0 and not np.all(np.diff(scales) < 0):

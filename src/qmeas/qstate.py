@@ -172,7 +172,11 @@ class DensityOperator(_Operator):
             raise ValidationError(
                 f"subsystem_dims {dims} do not multiply to dim {dim}")
         d = _check_hermitian(m if d is None else d, "density matrix")
-        tr = m.trace() if m is not None else d.sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            tr = m.trace() if m is not None else d.sum()
+        if not np.isfinite(tr):
+            raise ValidationError(
+                f"trace {tr} is not finite: the diagonal sums past the float range")
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} differs from 1 beyond {TRACE_TOL}")
         min_eig = float(d.real.min() if d is not None else np.linalg.eigvalsh(m)[0])
@@ -344,13 +348,18 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 def weighted_magnetization_diag(couplings) -> np.ndarray:
     """Eigenvalues of sum_n g_n sigma_z^(n) over the 2^N computational basis.
 
-    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Callers bound N
-    with errors.guard_bytes before they call it.
+    Bit n of the basis index is 0 where sigma_z^(n) = +1.  Built in place by
+    doubling: after spin n the first 2^(n+1) entries hold the sums over spins
+    0..n, so each entry adds the terms +-g_n in order of n and no
+    temporary is made.  Callers bound N with errors.guard_bytes before they
+    call it.
     """
     c = np.asarray(couplings, dtype=np.float64)
-    N = c.size
-    a = np.arange(2**N)
-    m = np.zeros(2**N)
-    for n in range(N):
-        m += c[n] * (1 - 2 * ((a >> n) & 1))
+    m = np.empty(2**c.size)
+    m[0] = 0.0
+    h = 1
+    for g in c.tolist():
+        np.subtract(m[:h], g, out=m[h:2 * h])
+        np.add(m[:h], g, out=m[:h])
+        h *= 2
     return m

@@ -648,6 +648,26 @@ def test_temperature_refused_before_gibbs(argv):
     assert len(out.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("scales", ["nan", "inf", "1e308", "0.5,nan"])
+def test_non_finite_scales_refused_before_the_source(scales):
+    # s * max|M_z| must be finite before any scaled Observable is formed
+    out = _run_subprocess(["register", "--N", "4", f"--scales={scales}"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmeas: config: scales")
+    assert len(out.stderr.splitlines()) == 1
+    assert "Warning" not in out.stderr
+
+
+def test_overflowing_populations_refused_without_warning():
+    out = _run_subprocess(["dispersionless", "--populations=1e308,1e308"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmeas: config: trace")
+    assert len(out.stderr.splitlines()) == 1
+    assert "Warning" not in out.stderr
+
+
 def test_truncate_envelope_past_square_overflow_warns_nothing():
     # (t/tau)^2 overflows at the grid end; the envelope there is exactly 0
     out = _run_subprocess(["truncate", "--tmax-tau", "1e300", "--points", "20"])
@@ -655,3 +675,56 @@ def test_truncate_envelope_past_square_overflow_warns_nothing():
     assert "Warning" not in out.stderr
     last = out.stdout.splitlines()[-1].split(",")
     assert float(last[3]) == 0.0
+
+
+def _freeze_count_at_exit(argv):
+    # the child's own atexit handler is registered first, so it runs after
+    # any hook main registers (handlers run last-in, first-out)
+    script = ("import atexit, contextlib, gc, io, os\n"
+              "atexit.register(lambda: os.write(1, b'freeze=%d' % gc.get_freeze_count()))\n"
+              "from qmeas.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    try:\n"
+              f"        main({argv!r})\n"
+              "    except SystemExit:\n"
+              "        pass\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=SRC_ENV, check=True)
+    return int(out.stdout.rsplit("freeze=", 1)[1])
+
+
+def test_named_command_freezes_the_heap_at_exit():
+    assert _freeze_count_at_exit(["chsh"]) > 0
+
+
+def test_version_leaves_before_the_exit_hook():
+    assert _freeze_count_at_exit(["--version"]) == 0
+
+
+def test_exit_hook_keeps_stdout_and_out_file(capsys, tmp_path):
+    argv = ["truncate", "--N", "1000", "--points", "20000"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    path = tmp_path / "t.csv"
+    script = "import sys\nfrom qmeas.cli import main\nsys.exit(main())\n"
+    to_stdout, to_file = (subprocess.run([sys.executable, "-c", script, *argv, *extra],
+                                         capture_output=True, env=SRC_ENV)
+                          for extra in ([], ["--out", str(path)]))
+    assert to_stdout.returncode == 0 and to_stdout.stdout == expected
+    assert to_file.returncode == 0 and to_file.stdout == b""
+    assert path.read_bytes() == expected
+
+
+def test_repeated_main_registers_one_exit_hook(capsys, monkeypatch):
+    import atexit
+    import gc
+
+    # the first call loads what chsh loads, with any handlers of its own
+    assert cli.main(["chsh"]) == 0
+    hooks = []
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister",
+                        lambda fn: hooks.__setitem__(slice(None), [h for h in hooks if h != fn]))
+    assert cli.main(["chsh"]) == 0
+    assert cli.main(["chsh"]) == 0
+    assert hooks == [gc.freeze]

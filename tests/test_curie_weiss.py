@@ -178,6 +178,19 @@ class TestRecurrences:
         k = 0.5 * 400 * (np.pi * 0.1) ** 2
         assert p2.predicted / p1.predicted == pytest.approx(np.exp(-3 * k), rel=1e-9)
 
+    def test_peaks_match_scalar_path(self):
+        # the columns are vectorised; each peak equals the per-peak scalar
+        # computation bit for bit (small K keeps 2000 predictions above 0)
+        model = cw.build_model(1000, 1.0, 1e-5, seed=3)
+        k = 0.5 * model.N * (np.pi * model.delta_g_rms / model.g) ** 2
+        t_peaks = np.arange(1, 2001) * (np.pi / (2.0 * model.g))
+        peaks = cw.recurrence_profile(model, 2000)
+        assert [p.nu for p in peaks] == list(range(1, 2001))
+        for p in peaks:
+            assert type(p.nu) is int and p.predicted > 0.0
+            assert p.time == float(t_peaks[p.nu - 1])
+            assert p.predicted == float(np.exp(-k * p.nu * p.nu))
+
 
 class TestCascadeCorrelations:
     def test_no_initial_correlation(self):

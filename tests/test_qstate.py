@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qmeas.qstate import (
     TRACE_TOL,
     trace_distance,
     vn_entropy,
+    weighted_magnetization_diag,
 )
 
 from conftest import random_density, random_hermitian
@@ -60,6 +62,16 @@ class TestInvariantGate:
     def test_subsystem_dims_must_factor(self):
         with pytest.raises(ValidationError):
             maximally_mixed(4, (3, 2))
+
+    @pytest.mark.parametrize("diag", [[1e308, 1e308], [1e308, 1e308, -1e308, -1e308]],
+                             ids=["inf", "nan"])
+    def test_overflowing_trace_rejected(self, diag):
+        # the diagonal's sum leaves the float range; no floating-point flag
+        # reaches the caller's errstate
+        with np.errstate(all="raise"):
+            for args, kwargs in (((), {"diagonal": diag}), ((np.diag(diag),), {})):
+                with pytest.raises(ValidationError, match="trace .* is not finite"):
+                    DensityOperator(*args, **kwargs)
 
 
 class TestQexpect:
@@ -339,3 +351,30 @@ class TestDiagonalStorage:
         dense = bloch_state((0.0, 0.0, 0.6))
         assert qexpect(diag, Observable(SIGMA_Z)) == pytest.approx(0.6, abs=1e-15)
         assert trace_distance(diag, dense) == 0.0
+
+
+def _weighted_magnetization_reference(c):
+    # the shift-and-mask formula: one pass per spin over the basis indices
+    a = np.arange(2**c.size)
+    m = np.zeros(2**c.size)
+    for n in range(c.size):
+        m += c[n] * (1 - 2 * ((a >> n) & 1))
+    return m
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_weighted_magnetization_matches_shift_and_mask(N):
+    c = np.random.default_rng(N).normal(0.0, 1.0, N)
+    assert np.array_equal(weighted_magnetization_diag(c), _weighted_magnetization_reference(c))
+
+
+def test_weighted_magnetization_builds_no_temporary():
+    N = 16
+    c = np.random.default_rng(0).normal(1.0, 0.1, N)
+    tracemalloc.start()
+    try:
+        weighted_magnetization_diag(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 2**N
