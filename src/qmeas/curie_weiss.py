@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError, guard_bytes
-from .qstate import (SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect,
-                     weighted_magnetization_diag)
+from .errors import ValidationError
+from .qstate import SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect
 
 # largest N for the analytic (product-form) path; beyond this the per-call
 # cost and coupling storage stop being interactive
@@ -332,19 +331,6 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     if scalar:
         return float(corr_x[0]), float(corr_y[0])
     return corr_x, corr_y
-
-
-def joint_offdiag_block(model: CurieWeissModel, t: float) -> np.ndarray:
-    """Dense up-down magnet block R(t): diagonal phases exp(+2i m_a t)/2^N.
-
-    m_a are the weighted-magnetization eigenvalues; tr R(t) = F(t) and
-    R R-dagger = I/2^(2N) at every t.  Refused from N = 13, where its one
-    complex 4^N matrix passes errors.BYTES_BUDGET.
-    """
-    guard_bytes(16 * 4**model.N, "joint_offdiag_block's 4^N matrix",
-                "use offdiag_factor for tr R(t)")
-    m = weighted_magnetization_diag(model.couplings)
-    return np.diag(np.exp(2.0j * float(t) * m) / 2.0**model.N)
 
 
 def default_time_grid(model: CurieWeissModel, nu_max: int = 0, points: int = 400,

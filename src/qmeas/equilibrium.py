@@ -445,8 +445,8 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
 class DiagonalMatrices(Sequence):
     """Read-only sequence of diagonal matrices kept as their real diagonals.
 
-    Indexing builds the dense complex matrix, as oracle.BlockMap does for its
-    blocks; .diagonals holds the stored vectors.
+    Indexing builds the dense complex matrix, as a diagonal-stored
+    qstate operator's .matrix does; .diagonals holds the stored vectors.
     """
 
     def __init__(self, diagonals):

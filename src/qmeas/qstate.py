@@ -73,7 +73,9 @@ def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray | None:
         # the entries of M - M^dag are 2i Im d on the diagonal and 0 elsewhere
         dev = 2.0 * float(np.abs(d.imag).max(initial=0.0))
     else:
-        dev = float(np.abs(m - m.conj().T).max())
+        # entries near +-1e308 overflow to inf, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = float(np.abs(m - m.conj().T).max())
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return d
@@ -108,10 +110,9 @@ class _Operator:
 
     Dense mode keeps the complex matrix.  Diagonal mode keeps only the real
     diagonal of an operator diagonal in the computational basis, and .matrix
-    builds the dense matrix on each read (as oracle.BlockMap does for its
-    blocks), so code that reads .matrix keeps working while code that reads
-    .diagonal never builds it.  A read whose matrix would pass
-    errors.BYTES_BUDGET raises GuardError instead.
+    builds the dense matrix on each read, so code that reads .matrix keeps
+    working while code that reads .diagonal never builds it.  A read whose
+    matrix would pass errors.BYTES_BUDGET raises GuardError instead.
     """
 
     __slots__ = ("_matrix", "_diagonal")

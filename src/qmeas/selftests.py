@@ -220,30 +220,37 @@ def _selftest_oracle_check():
     import numpy as np
 
     from . import curie_weiss, oracle
-    from .qstate import bloch_state
+    from .qstate import bloch_state, partial_trace
 
+    # equal couplings g = 1 at N = 2 and r0 = +x: F(t) = s_x(t) = cos(2t)^2
     model = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
-    sb = oracle.sector_blocks_at(model, 0.0)
-    eye = np.eye(4) / 4.0
-    _check(np.allclose(sb.blocks[(0, 0)], 0.5 * eye, atol=1e-15),
-           "the initial up-up block must be I/8")
-    _check(np.allclose(sb.blocks[(0, 1)], 0.5 * eye, atol=1e-15),
-           "the initial up-down block must be I/8")
-    joint = oracle.reconstruct_joint(sb, model.r0)
-    _check(abs(np.trace(joint.matrix) - 1.0) <= 1e-12,
-           "the reassembled joint state must have unit trace")
+    joint = oracle.joint_state(model, 0.0)
+    _check(np.allclose(joint.matrix, np.kron(model.r0.matrix, np.eye(4) / 4.0), atol=1e-15),
+           "the initial joint state must be r0 (x) I/4")
+    times = np.array([0.0, 0.3, 0.7])
+    obs = oracle.grid_expectations(model, times)
+    _check(np.max(np.abs(obs["f"] - np.cos(2.0 * times) ** 2)) <= 1e-12,
+           "the grid's F must be cos(2t)^2 at N = 2")
+    spin = partial_trace(oracle.joint_state(model, times[2]), [0]).matrix
+    _check(abs(2.0 * spin[0, 1].real - obs["sx"][2]) <= 1e-12,
+           "the joint state's s_x must match the grid's")
 
 
 def _selftest_appc_report():
+    import numpy as np
+
     from . import curie_weiss, oracle
     from .qstate import bloch_state
 
     model1 = curie_weiss.build_model(1, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
-    rep1 = oracle.appendix_c_report(oracle.iter_sector_blocks(model1, [0.0, 0.1]))
+    rep1 = oracle.appendix_c_grid(model1, [0.0, 0.1])
     _check(rep1.no_macroscopic_limit, "N = 1 must be flagged as having no macroscopic limit")
     model2 = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
-    rep2 = oracle.appendix_c_report(oracle.iter_sector_blocks(model2, [0.0, 0.3, 0.7]))
+    times = np.array([0.0, 0.3, 0.7])
+    rep2 = oracle.appendix_c_grid(model2, times)
     _check(rep2.invariant_ok, "the block invariant must hold at N = 2")
+    _check(np.max(np.abs(rep2.sx - np.cos(2.0 * times) ** 2)) <= 1e-12,
+           "s_x must decay as cos(2t)^2 at N = 2")
 
 
 SELFTESTS = {

@@ -45,15 +45,14 @@ def test_criterion_02_analytic_blocks_match_dense_oracle():
         f_ref = cw.offdiag_factor(model, times)
         live = [s for s in subsets if len(s) <= n]
         cascades = {s: cw.cascade_correlation(model, len(s), s, times) for s in live}
-        for idx, sb in enumerate(oracle.iter_sector_blocks(model, times)):
-            exp = oracle.block_expectations(sb, subsets=live)
-            assert abs(exp["sx"] - res.sx[idx]) <= 1e-10
-            assert abs(exp["sy"] - res.sy[idx]) <= 1e-10
-            assert abs(exp["f"] - f_ref[idx]) <= 1e-10
-            for s, (ax, ay) in cascades.items():
-                got_x, got_y = exp["cascade"][s]
-                assert abs(got_x - ax[idx]) <= 1e-10
-                assert abs(got_y - ay[idx]) <= 1e-10
+        exp = oracle.grid_expectations(model, times, subsets=live)
+        assert np.max(np.abs(exp["sx"] - res.sx)) <= 1e-10
+        assert np.max(np.abs(exp["sy"] - res.sy)) <= 1e-10
+        assert np.max(np.abs(exp["f"] - f_ref)) <= 1e-10
+        for s, (ax, ay) in cascades.items():
+            got_x, got_y = exp["cascade"][s]
+            assert np.max(np.abs(got_x - ax)) <= 1e-10
+            assert np.max(np.abs(got_y - ay)) <= 1e-10
     assert time.perf_counter() - start < 30.0
 
 
@@ -85,7 +84,7 @@ def test_criterion_05_block_invariant_vs_transverse_decay():
     model = cw.build_model(11, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     tau = cw.truncation_time(model)
     times = np.linspace(0.0, 4.0 * tau, 200)
-    rep = oracle.appendix_c_report(oracle.iter_sector_blocks(model, times))
+    rep = oracle.appendix_c_grid(model, times)
     assert rep.invariant_ok
     assert np.max(rep.invariant_deviation) <= 1e-12
     # with equal couplings the exact tail is s_x(4 tau) = cos(8 / sqrt(2N))^N:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmeas import cli, curie_weiss, equilibrium
+from qmeas import cli, curie_weiss, equilibrium, oracle
 from qmeas.errors import ConvergenceError
 
 # subprocesses import the package from this checkout, installed or not
@@ -279,6 +279,32 @@ class TestSelftests:
         assert code == 1
         assert out == ""
         assert err.startswith("selftest chsh: FAIL")
+
+    @pytest.mark.parametrize("fault", ["phase", "observables"])
+    @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
+    def test_oracle_selftests_see_a_fault(self, capsys, monkeypatch, command, fault):
+        # "phase" rotates every phase by 0.01 rad, which keeps |R| and so the
+        # invariant exact but moves F, s_x and the joint state; "observables"
+        # shifts every grid reading by 1e-9 and leaves the joint state alone
+        if fault == "phase":
+            tiles = oracle._phase_tiles
+
+            def rotated(model, times):
+                for t, phase in tiles(model, times):
+                    yield t, phase * np.exp(0.01j)
+
+            monkeypatch.setattr(oracle, "_phase_tiles", rotated)
+        else:
+            observables = oracle._observables
+
+            def shifted(*args, **kwargs):
+                return {k: v + 1e-9 for k, v in observables(*args, **kwargs).items()}
+
+            monkeypatch.setattr(oracle, "_observables", shifted)
+        code, out, err = run_cli(capsys, command, "--selftest")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"selftest {command}: FAIL")
 
 
 class TestOutputs:

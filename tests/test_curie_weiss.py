@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeas import curie_weiss as cw
-from qmeas import qstate
+from qmeas import equilibrium, oracle, qstate
 from qmeas.errors import GuardError, ValidationError
 from qmeas.qstate import bloch_state
 
@@ -275,32 +275,44 @@ class TestProductsNearTheSubnormalRange:
 
 
 class TestJointOffdiagBlock:
+    """The bare up-down block R(t) = W_01(t) / r_01 of the oracle's joint
+    state, against this layer's closed forms."""
+
+    @staticmethod
+    def block(model, t):
+        dim = 2**model.N
+        return oracle.joint_state(model, t).matrix[:dim, dim:] / model.r0.matrix[0, 1]
+
     def test_magnetization_diagonal_is_the_qstate_one(self):
-        # equilibrium's full pointer reads it from qstate, without this layer
-        assert cw.weighted_magnetization_diag is qstate.weighted_magnetization_diag
+        # the oracle and equilibrium's full pointer read it from qstate; the
+        # analytic layer binds neither it nor the dense byte guard
+        assert oracle.weighted_magnetization_diag is qstate.weighted_magnetization_diag
+        assert equilibrium.weighted_magnetization_diag is qstate.weighted_magnetization_diag
+        assert not hasattr(cw, "weighted_magnetization_diag")
+        assert not hasattr(cw, "guard_bytes")
 
     def test_initial_block_is_uniform(self):
         model = cw.build_model(4, 1.0)
-        block = cw.joint_offdiag_block(model, 0.0)
+        block = self.block(model, 0.0)
         assert np.allclose(block, np.eye(16) / 16.0, atol=1e-15)
 
     def test_no_decay_invariant(self):
         model = cw.build_model(5, 1.0, 0.1, seed=9)
         for t in (0.3, 1.7):
-            block = cw.joint_offdiag_block(model, t)
+            block = self.block(model, t)
             prod = block @ block.conj().T
             assert np.allclose(prod, np.eye(32) / 32.0**2, atol=1e-15)
 
     def test_trace_matches_offdiag_factor(self):
         model = cw.build_model(6, 1.0, 0.05, seed=4)
         for t in (0.2, 0.9, 2.4):
-            tr = np.trace(cw.joint_offdiag_block(model, t))
+            tr = np.trace(self.block(model, t))
             assert np.real(tr) == pytest.approx(cw.offdiag_factor(model, t), abs=1e-12)
             assert abs(np.imag(tr)) <= 1e-12
 
     def test_dense_guard(self):
         with pytest.raises(GuardError):
-            cw.joint_offdiag_block(cw.build_model(13, 1.0), 0.1)
+            self.block(cw.build_model(13, 1.0), 0.1)
 
 
 def test_default_time_grid_covers_recurrence_windows():

@@ -73,6 +73,20 @@ class TestInvariantGate:
                 with pytest.raises(ValidationError, match="trace .* is not finite"):
                     DensityOperator(*args, **kwargs)
 
+    @pytest.mark.parametrize("cls", [Observable, DensityOperator])
+    def test_overflowing_hermitian_deviation_rejected(self, cls):
+        # M - M^dag overflows to inf for a +-1e308 off-diagonal pair; that is
+        # a deviation past the tolerance, not a floating-point error
+        m = np.array([[0.5, 1e308], [-1e308, 0.5]])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                cls(m)
+
+    def test_hermitian_pair_at_the_float_limit_accepted(self):
+        m = np.array([[0.5, 1e308], [1e308, 0.5]])
+        with np.errstate(all="raise"):
+            assert np.array_equal(Observable(m).matrix, m)
+
 
 class TestQexpect:
     def test_unpolarized_sigma_z(self):
