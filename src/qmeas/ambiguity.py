@@ -89,6 +89,9 @@ def chord_decomposition(v, direction) -> ChordDecomposition:
     d = np.asarray(direction, dtype=np.float64)
     if v.shape != (3,) or d.shape != (3,):
         raise ValidationError("v and direction must be 3-vectors")
+    for name, x in (("v", v), ("direction", d)):
+        if not np.isfinite(x).all():
+            raise ValidationError(f"{name} {x.tolist()} must be finite")
     big = float(np.max(np.abs(d)))
     if big == 0.0:
         raise ValidationError("direction must be nonzero")

@@ -141,6 +141,9 @@ def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
     delta_g_rel = float(delta_g_rel)
     if not 0.0 <= delta_g_rel < 1.0:
         raise ValidationError("delta_g_rel must be in [0, 1)")
+    # refused whether or not a draw is made, as sample_runs refuses it
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if r0 is None:
         r0 = bloch_state((1.0, 0.0, 0.0))
     if delta_g_rel == 0.0:

@@ -10,13 +10,12 @@ states the dynamics relaxes to.  Temperatures are energies (k_B = 1).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, GuardError, InfeasibleError, ValidationError, guard_bytes
-from .qstate import (DensityOperator, Observable, dense_diagonal, diagonal_or_none, qexpect,
+from .qstate import (DensityOperator, Observable, diagonal_or_none, qexpect,
                      weighted_magnetization_diag)
 
 _GRAM_RTOL = 1e-10
@@ -191,37 +190,34 @@ def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
     )
 
 
+def _real_diagonals(ops, what: str) -> list[np.ndarray]:
+    ds = [diagonal_or_none(op) for op in ops]
+    if any(d is None for d in ds):
+        raise ValidationError(f"{what} must be diagonal in the M_z basis")
+    return [d.real for d in ds]
+
+
 def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: float
                       ) -> tuple[DensityOperator, float]:
-    """Gibbs state of H_M + source at temperature T, with its partition sum.
+    """Gibbs state of H_M + source at temperature T, with its log-partition ln Z.
 
-    When both operators are diagonal the state is built and stored as its
-    diagonal; otherwise it is a dense matrix from the spectral decomposition.
+    Both operators must be diagonal in the M_z basis, as every registration
+    operator is (the Hamiltonian conserves M_z); the state is built and stored
+    as its diagonal.  ln Z has the convention of MaxEntSolution.gamma.  The
+    Gibbs state of a non-diagonal H is maxent_state(ConstraintSet(
+    temperature=T, hamiltonian=H)).
     """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
     if source is not None and source.dim != h_m.dim:
         raise ValidationError("source dimension mismatch")
-    d_h = diagonal_or_none(h_m)
-    d_s = None if source is None else diagonal_or_none(source)
-    if d_h is not None and (source is None or d_s is not None):
-        total = d_h.real if source is None else d_h.real + d_s.real
-        # times 1/T: numpy divides a complex array by T that way, so a
-        # diagonal given densely or as a vector gives the same bits
-        p, logz = _gibbs_of_exponent(total * (1.0 / temperature))
-        v = None
-    else:
-        total = np.asarray(h_m.matrix, dtype=np.complex128)
-        if source is not None:
-            total = total + source.matrix
-        a, v = np.linalg.eigh(total / temperature)
-        p, logz = _gibbs_of_exponent(a)
-    if abs(logz) > _LOGZ_CAP:
-        raise GuardError("partition function overflows double precision; rescale energies")
-    if v is None:
-        return DensityOperator(diagonal=p), float(np.exp(logz))
-    dmat = (v * p) @ v.conj().T
-    return DensityOperator(0.5 * (dmat + dmat.conj().T)), float(np.exp(logz))
+    ops = [h_m] if source is None else [h_m, source]
+    diags = _real_diagonals(ops, "H_M and the source")
+    total = diags[0] if source is None else diags[0] + diags[1]
+    # times 1/T, not divided by T: the two can differ in the last bit, and
+    # the values finalstate and register print are those of this form
+    p, logz = _gibbs_of_exponent(total * (1.0 / temperature))
+    return DensityOperator(diagonal=p), float(logz)
 
 
 def _check_jt(j: float, t: float) -> None:
@@ -354,10 +350,10 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     the result is flagged converged=False and the last value is reported.
     """
     scales = np.asarray(h_scale_sequence, dtype=np.float64)
+    d_src = _real_diagonals([source], "source")[0]
     # s * max|source| in Python floats: an overflow gives inf here, not a
-    # RuntimeWarning from the scaled Observable
-    peak = float(np.max(np.abs(source.diagonal if source.diagonal is not None
-                                else source.matrix)))
+    # RuntimeWarning from the scaled source
+    peak = float(np.max(np.abs(d_src)))
     if not all(math.isfinite(s) and math.isfinite(s * peak) for s in scales.tolist()):
         raise ValidationError(f"scales {scales.tolist()} must be finite, and so must each "
                               f"scale times the largest source entry {peak:g}")
@@ -368,11 +364,7 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     values = []
     state = None
     for s in scales:
-        if source.diagonal is not None:
-            scaled = Observable(diagonal=s * source.diagonal)
-        else:
-            scaled = Observable(s * np.asarray(source.matrix))
-        state, _ = gibbs_with_source(h_m, scaled, temperature)
+        state, _ = gibbs_with_source(h_m, Observable(diagonal=s * d_src), temperature)
         values.append(qexpect(state, pointer_obs))
     values = np.asarray(values)
     if scales.size == 1 or np.ptp(scales) == 0:
@@ -405,6 +397,12 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
         "finite-size failure of the weak-source limit, reporting the last value" % r)
 
 
+def _coupling_peak(n_spins: int, j: float) -> float:
+    """|J| N/2, the largest |-(J/2N) M_z^2| (at M_z = +-N), formed as the
+    energy arrays form it: when it is finite, no energy overflows."""
+    return abs(j) / (2.0 * n_spins) * float(n_spins) ** 2
+
+
 def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
     """H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space, stored as
     their diagonals; sizes past the full pointer's byte guard are refused."""
@@ -412,6 +410,9 @@ def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
         raise ValidationError("need at least one spin")
     guard_bytes(_FULL_VECTORS * 8 * 2**n_spins, "full-representation pointer's 2^N vectors",
                 "use reduced=True")
+    if not math.isfinite(_coupling_peak(n_spins, j)):
+        raise ValidationError(f"J N/2 must be finite: J = {j!r} and N = {n_spins} "
+                              f"overflow the magnet energies")
     m = weighted_magnetization_diag(np.ones(n_spins))
     h = -(j / (2.0 * n_spins)) * m**2
     return Observable(diagonal=h), Observable(diagonal=m)
@@ -436,39 +437,15 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
     lg_n = math.lgamma(n_spins + 1)
     half = [lg_n - math.lgamma(k + 1) - math.lgamma(n_spins - k + 1)
             for k in range(n_spins // 2 + 1)]
+    # |H| <= |J| N/2 + T ln C(N, N/2)
+    if not math.isfinite(_coupling_peak(n_spins, j) + temperature * half[-1]):
+        raise ValidationError(f"J N/2 + T ln C(N, N/2) must be finite: J = {j!r}, "
+                              f"N = {n_spins} and T = {temperature!r} overflow the "
+                              f"magnet energies")
     log_deg = np.array(half + half[:n_spins - n_spins // 2][::-1])
     m = (n_spins - 2 * np.arange(n_spins + 1)).astype(np.float64)
     h = -(j / (2.0 * n_spins)) * m**2 - temperature * log_deg
     return Observable(diagonal=h), Observable(diagonal=m)
-
-
-class DiagonalMatrices(Sequence):
-    """Read-only sequence of diagonal matrices kept as their real diagonals.
-
-    Indexing builds the dense complex matrix, as a diagonal-stored
-    qstate operator's .matrix does; .diagonals holds the stored vectors.
-    """
-
-    def __init__(self, diagonals):
-        vecs = []
-        for d in diagonals:
-            v = np.array(d, dtype=np.float64)
-            v.setflags(write=False)
-            vecs.append(v)
-        self.diagonals = tuple(vecs)
-
-    def __getitem__(self, i) -> np.ndarray:
-        return dense_diagonal(self.diagonals[i], "a dense diagonal matrix", "read .diagonals")
-
-    def __len__(self) -> int:
-        return len(self.diagonals)
-
-
-def _real_diagonals(ops, what: str) -> list[np.ndarray]:
-    ds = [diagonal_or_none(op) for op in ops]
-    if any(d is None for d in ds):
-        raise ValidationError(f"{what} must be diagonal in the M_z basis")
-    return [d.real for d in ds]
 
 
 @dataclass(frozen=True)
@@ -476,16 +453,17 @@ class PointerModel:
     """Registered magnet: outcomes A_i with window projectors and the
     associated equilibrium states, windowed (R_i) and sourced (R_i^h).
 
-    The pointer observable, window projectors and pointer states must be
-    diagonal in the M_z basis; the checks run on their diagonals, read
-    directly from diagonal storage.  window_projectors may be given as dense
-    matrices or as DiagonalMatrices and is kept as DiagonalMatrices.
+    The pointer observable, window projectors and pointer states are
+    diagonal in the M_z basis, and the checks run on their diagonals.  Each
+    window projector is given as its diagonal, a 0/1 vector over the magnet
+    basis, and kept as a read-only float64 vector; partition_consts are the
+    sourced states' partition sums Z.
     """
 
     pointer_obs: Observable
     outcomes: tuple[float, ...]
     window: float
-    window_projectors: Sequence[np.ndarray]
+    window_projectors: tuple[np.ndarray, ...]
     pointer_states: tuple[DensityOperator, ...]
     sourced_states: tuple[DensityOperator, ...]
     partition_consts: tuple[float, ...]
@@ -496,13 +474,11 @@ class PointerModel:
             raise ValidationError("outcomes, projectors, and states must align")
         if self.window <= 0:
             raise ValidationError("window half-width must be positive")
-        projs = self.window_projectors
-        if not isinstance(projs, DiagonalMatrices):
-            projs = DiagonalMatrices(
-                _real_diagonals([np.asarray(q) for q in projs], "window projector"))
-            object.__setattr__(self, "window_projectors", projs)
+        p = [np.array(w, dtype=np.float64) for w in self.window_projectors]
+        for w in p:
+            w.setflags(write=False)
+        object.__setattr__(self, "window_projectors", tuple(p))
         a = _real_diagonals([self.pointer_obs], "pointer observable")[0]
-        p = list(projs.diagonals)
         r = _real_diagonals(self.pointer_states, "pointer state")
         if any(v.shape != a.shape for v in p + r):
             raise ValidationError("pointer operators must share the magnet dimension")
@@ -552,6 +528,14 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         h_m, m_obs = reduced_magnet_operators(n_spins, j, temperature)
     else:
         h_m, m_obs = magnet_operators(n_spins, j)
+    if source_strength is None:
+        source_strength = 1.5 * g_threshold(j, temperature)
+    # the Gibbs exponents reach (J N/2 + |h| N)/T
+    if not math.isfinite((_coupling_peak(n_spins, j) + abs(source_strength) * n_spins)
+                         / temperature):
+        raise ValidationError(f"(J N/2 + |h| N)/T must be finite: J = {j!r}, h = "
+                              f"{source_strength!r}, N = {n_spins} and T = {temperature!r} "
+                              f"overflow the Gibbs exponents")
     mz = m_obs.diagonal
     energies = h_m.diagonal
     weights = np.exp(-(energies - energies.min()) / temperature)
@@ -588,19 +572,19 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         mask, probs, _, _ = window_stats(a, half)
         projs.append(mask)
         states.append(DensityOperator(diagonal=probs))
-    if source_strength is None:
-        source_strength = 1.5 * g_threshold(j, temperature)
     sourced, zs = [], []
     for sign in (1.0, -1.0):
         src = Observable(diagonal=-sign * source_strength * mz)
-        st, z = gibbs_with_source(h_m, src, temperature)
+        st, logz = gibbs_with_source(h_m, src, temperature)
+        if abs(logz) > _LOGZ_CAP:
+            raise GuardError("partition function overflows double precision; rescale energies")
         sourced.append(st)
-        zs.append(z)
+        zs.append(float(np.exp(logz)))
     return PointerModel(
         pointer_obs=m_obs,
         outcomes=outcomes,
         window=half,
-        window_projectors=DiagonalMatrices(projs),
+        window_projectors=tuple(projs),
         pointer_states=tuple(states),
         sourced_states=tuple(sourced),
         partition_consts=tuple(zs),

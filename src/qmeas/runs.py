@@ -200,6 +200,8 @@ def sample_runs(weights, total: int, seed: int = 0) -> EnsembleSplit:
     w = np.asarray(weights, dtype=np.float64)
     if total < 1:
         raise ValidationError("need at least one run")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if np.any(w < -1e-12):
         raise ValidationError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -233,27 +235,29 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
 
     Checks that the joint state does not leak across windows, renormalizes
     (I (x) Pi_i) D (I (x) Pi_i), and verifies the extracted state factors as
-    r_i (x) R_i within factor_tol in trace distance.  A joint state in
-    diagonal storage is worked on as its diagonal (the windows are diagonal
-    too), and the subensemble and r_i come back in diagonal storage.
+    r_i (x) R_i within factor_tol in trace distance.  The windows are
+    diagonal, so every product scales entries of D: a joint state in diagonal
+    storage is worked on as its diagonal, and the subensemble and r_i come
+    back in diagonal storage.
     """
     if len(d_tf.subsystem_dims) != 2:
         raise ValidationError("joint state must carry (system, magnet) dimensions")
     dim_s, dim_m = d_tf.subsystem_dims
-    projs = pointer.window_projectors
     if pointer.pointer_obs.dim != dim_m:
         raise ValidationError("pointer windows do not match the magnet dimension")
+    n = len(pointer.window_projectors)
+    if not 0 <= i < n:
+        raise ValidationError(f"outcome {i} outside 0..{n - 1}")
+    # I (x) Pi_j is diagonal, with diagonal the window vector tiled dim_s times
+    windows = [np.tile(w, dim_s) for w in pointer.window_projectors]
     d = d_tf.diagonal
     if d is None:
-        eye_s = np.eye(dim_s)
-        e_i = np.kron(eye_s, projs[i])
+        # (I (x) Pi_i) D (I (x) Pi_j) scales entry (m, n) of D by w_i[m] w_j[n]
         d = d_tf.matrix
-        leaks = (e_i @ d @ np.kron(eye_s, pj) for jdx, pj in enumerate(projs) if jdx != i)
-        sub = e_i @ d @ e_i
+        leaks = (np.outer(windows[i], w) * d for jdx, w in enumerate(windows) if jdx != i)
+        sub = np.outer(windows[i], windows[i]) * d
         p = float(np.trace(sub).real)
     else:
-        # I (x) Pi_j is diagonal: every product is elementwise on the diagonals
-        windows = [np.tile(w, dim_s) for w in projs.diagonals]
         leaks = (windows[i] * d * w for jdx, w in enumerate(windows) if jdx != i)
         sub = windows[i] * d * windows[i]
         p = float(sub.sum())

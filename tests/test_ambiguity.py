@@ -57,6 +57,10 @@ class TestChordDecomposition:
             amb.chord_decomposition([0, 0, 0.5], [0, 0, 0])
         with pytest.raises(ValidationError):
             amb.chord_decomposition([0, 0, 0.5, 0.0], [0, 0, 1])
+        with pytest.raises(ValidationError, match="direction .* must be finite"):
+            amb.chord_decomposition([0, 0, 0.5], [np.inf, 0, 0])
+        with pytest.raises(ValidationError, match="v .* must be finite"):
+            amb.chord_decomposition([np.nan, 0, 0], [0, 0, 1])
 
 
 _component = st.floats(-1.0, 1.0)

@@ -674,6 +674,53 @@ def test_temperature_refused_before_gibbs(argv):
     assert len(out.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["finalstate", "--J=1e308", "--T=7", "--N=8"],
+    ["finalstate", "--J=1e308", "--T=7", "--N=8", "--reduced"],
+    ["register", "--J=1e308", "--N=8"],
+    ["register", "--T=1e308", "--N=8"],
+    ["finalstate", "--J=2.5e307", "--T=1", "--N=8"],
+    ["finalstate", "--J=1e300", "--T=1e-10", "--N=8", "--reduced"],
+], ids=["finalstate-J", "finalstate-reduced-J", "register-J", "register-T",
+        "finalstate-source", "finalstate-reduced-J-over-T"])
+def test_magnet_energy_overflow_refused_before_gibbs(argv):
+    # J N/2 (with T ln C(N, N/2) in the sector representation, and with the
+    # source over T in the pointer) must be finite before any energy array is
+    # formed: the refusal names J and N and no RuntimeWarning precedes it
+    out = _run_subprocess(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("qmeas: config:")
+    assert "J = " in out.stderr and "N = 8" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["born", "--seed=-1"],
+    ["truncate", "--delta-g-rel", "0.1", "--seed=-1"],
+    ["cascade", "--delta-g-rel", "0.1", "--seed=-1"],
+    ["recur", "--delta-g-rel", "0.1", "--seed=-1"],
+    ["truncate", "--seed=-1"],
+    ["oracle-check", "--seed=-1"],
+], ids=["born", "truncate", "cascade", "recur", "truncate-no-draw", "oracle-check"])
+def test_negative_seed_refused(argv):
+    # one contract for every --seed, whether or not a draw is made
+    out = _run_subprocess(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "qmeas: config: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("flag, name", [("--d1=inf,0,0", "direction"), ("--v=nan,0,0", "v")])
+def test_non_finite_ambiguity_input_refused_by_name(flag, name):
+    out = _run_subprocess(["ambiguity", flag])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"qmeas: config: {name} [")
+    assert "must be finite" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("scales", ["nan", "inf", "1e308", "0.5,nan"])
 def test_non_finite_scales_refused_before_the_source(scales):
     # s * max|M_z| must be finite before any scaled Observable is formed

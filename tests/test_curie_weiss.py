@@ -39,6 +39,11 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="finite and positive"):
             cw.build_model(10, g, 0.1, seed=0)
 
+    @pytest.mark.parametrize("rel", [0.0, 0.1])
+    def test_negative_seed_rejected(self, rel):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            cw.build_model(10, 1.0, rel, seed=-1)
+
     def test_analytic_size_cap(self):
         with pytest.raises(ValidationError):
             cw.build_model(10**7 + 1, 1.0)

@@ -129,10 +129,33 @@ class TestMaxEnt:
 
 class TestGibbsWithSource:
     def test_infinite_temperature_limit(self, rng):
+        # a dense Gibbs state is the fixed-beta maxent state
         h = random_hermitian(4, rng)
         norm = float(np.max(np.abs(np.linalg.eigvalsh(h.matrix))))
-        state, _ = eq.gibbs_with_source(h, None, 1e6 * norm)
-        assert trace_distance(state, maximally_mixed(4)) <= 1e-5
+        sol = eq.maxent_state(eq.ConstraintSet(temperature=1e6 * norm, hamiltonian=h))
+        assert trace_distance(sol.state, maximally_mixed(4)) <= 1e-5
+
+    def test_non_diagonal_operators_refused(self, rng):
+        h_m, m_obs = eq.reduced_magnet_operators(4, 1.0, 0.8)
+        coherent = random_hermitian(5, rng)
+        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
+            eq.gibbs_with_source(coherent, None, 0.8)
+        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
+            eq.gibbs_with_source(h_m, coherent, 0.8)
+        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
+            eq.pointer_limit(h_m, coherent, 0.8, [0.2, 0.1], m_obs)
+        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
+            eq.pointer_limit(coherent, Observable(diagonal=-m_obs.diagonal), 0.8, [0.2, 0.1],
+                             m_obs)
+
+    def test_log_partition_matches_maxent_gamma(self):
+        h_m, m_obs = eq.reduced_magnet_operators(6, 1.0, 0.8)
+        src = Observable(diagonal=-0.3 * m_obs.diagonal)
+        state, logz = eq.gibbs_with_source(h_m, src, 0.8)
+        total = Observable(diagonal=h_m.diagonal + src.diagonal)
+        sol = eq.maxent_state(eq.ConstraintSet(temperature=0.8, hamiltonian=total))
+        assert logz == pytest.approx(sol.gamma, abs=1e-12)
+        assert trace_distance(state, sol.state) <= 1e-12
 
     def test_single_spin_closed_form(self):
         zero = Observable(np.zeros((2, 2), dtype=complex))
@@ -143,9 +166,9 @@ class TestGibbsWithSource:
     def test_partition_equal_for_unitarily_related_sources(self):
         h_m, m_obs = eq.magnet_operators(4, 1.0)
         m = np.asarray(m_obs.matrix)
-        _, z_up = eq.gibbs_with_source(h_m, Observable(-0.3 * m), 0.8)
-        _, z_dn = eq.gibbs_with_source(h_m, Observable(+0.3 * m), 0.8)
-        assert z_up == pytest.approx(z_dn, rel=1e-12)
+        _, logz_up = eq.gibbs_with_source(h_m, Observable(-0.3 * m), 0.8)
+        _, logz_dn = eq.gibbs_with_source(h_m, Observable(+0.3 * m), 0.8)
+        assert logz_up == pytest.approx(logz_dn, rel=0.0, abs=1e-12)
 
 
 class TestMeanField:
@@ -289,7 +312,8 @@ class TestPointerModel:
             assert sdev <= pointer.window / 3.0 + 1e-9
         z0, z1 = pointer.partition_consts
         assert z0 == pytest.approx(z1, rel=1e-12)
-        for i, proj in enumerate(pointer.window_projectors):
+        for i, w in enumerate(pointer.window_projectors):
+            proj = np.diag(w)
             for jdx, r in enumerate(pointer.pointer_states):
                 pinched = proj @ r.matrix @ proj
                 ref = pointer.pointer_states[i].matrix if i == jdx else 0.0
@@ -318,14 +342,6 @@ class TestPointerModel:
         with pytest.raises(GuardError):
             eq.magnet_operators(23, 1.0)
 
-    def test_dense_projector_read_is_guarded(self):
-        # projectors of the full pointer are stored as 2^N diagonals; reading
-        # one as a dense matrix is refused from N = 13 (1.07 GB)
-        projs = eq.DiagonalMatrices([np.ones(2**13)])
-        assert projs.diagonals[0].shape == (2**13,)
-        with pytest.raises(GuardError, match="diagonals"):
-            projs[0]
-
     def test_full_pointer_matches_reduced_at_16(self):
         n = 16
         full = eq.build_curie_weiss_pointer(n, 1.0, 0.5)
@@ -351,11 +367,9 @@ class TestPointerModel:
         assert pointer.pointer_obs.diagonal.shape == (1024,)
         for st in pointer.pointer_states + pointer.sourced_states:
             assert st.diagonal is not None
-        assert pointer.window_projectors.diagonals[0].shape == (1024,)
-        # indexing still yields the dense projector
-        proj = pointer.window_projectors[0]
-        assert proj.shape == (1024, 1024)
-        assert np.array_equal(np.diag(proj).real, pointer.window_projectors.diagonals[0])
+        for w in pointer.window_projectors:
+            assert w.shape == (1024,) and w.dtype == np.float64 and not w.flags.writeable
+            assert set(np.unique(w)) == {0.0, 1.0}
 
     def test_window_fixed_point_reports_nonconvergence(self):
         # the window fixed point settles in 3 iterations here, not in 1
@@ -373,7 +387,7 @@ def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
         pointer_obs=Observable(np.diag([3.0, 2.0, -2.0, -3.0]).astype(complex)),
         outcomes=(2.5, -2.5),
         window=1.6,
-        window_projectors=tuple(np.diag(np.asarray(p, dtype=complex)) for p in projs),
+        window_projectors=projs,
         pointer_states=states,
         sourced_states=states,
         partition_consts=(1.0, 1.0),
@@ -383,7 +397,9 @@ def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
 class TestPointerModelChecks:
     def test_toy_pointer_is_valid(self):
         pointer = toy_pointer()
-        assert pointer.window_projectors[0].shape == (4, 4)
+        assert isinstance(pointer.window_projectors, tuple)
+        assert np.array_equal(pointer.window_projectors[0], [1.0, 1.0, 0.0, 0.0])
+        assert not pointer.window_projectors[0].flags.writeable
 
     def test_overlapping_windows_rejected(self):
         with pytest.raises(ValidationError, match="orthogonal"):

@@ -148,6 +148,10 @@ class TestSampling:
         split = runs.sample_runs([1.0, 0.0], 1000, seed=5)
         assert split.counts == (1000, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            runs.sample_runs([0.5, 0.5], 10, seed=-1)
+
     def test_seed_determinism(self):
         a = runs.sample_runs([0.5, 0.5], 10_000, seed=42)
         b = runs.sample_runs([0.5, 0.5], 10_000, seed=42)
@@ -205,7 +209,7 @@ class TestSubensembles:
         joint = eq.final_joint_state(r0, tested, pointer)
         for i, expect_p in ((0, 0.8), (1, 0.2)):
             br = runs.subensemble_state(joint, pointer, i)
-            proj = np.kron(np.eye(2), pointer.window_projectors[i])
+            proj = np.kron(np.eye(2), np.diag(pointer.window_projectors[i]))
             direct = float(np.trace(joint.matrix @ proj).real)
             assert br.p == pytest.approx(direct, abs=1e-12)
             assert br.p == pytest.approx(expect_p, abs=1e-12)
@@ -233,16 +237,21 @@ class TestSubensembles:
             assert np.max(np.abs(fast.r.matrix - slow.r.matrix)) <= 1e-15
             assert np.max(np.abs(fast.delta.matrix - slow.delta.matrix)) <= 1e-15
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_outcome_index_checked(self, pointer, i):
+        joint = eq.final_joint_state(bloch_state((0, 0, 0.6)), runs.sz_observable(), pointer)
+        with pytest.raises(ValidationError, match=f"outcome {i} outside 0..1"):
+            runs.subensemble_state(joint, pointer, i)
+
     def test_leak_detection(self, pointer):
         # cat state across the two magnetization windows
-        d0 = np.diag(pointer.window_projectors[0]).real
-        d1 = np.diag(pointer.window_projectors[1]).real
+        d0, d1 = pointer.window_projectors
         cat = np.zeros(d0.size, dtype=complex)
         cat[int(np.argmax(d0))] = 1 / np.sqrt(2)
         cat[int(np.argmax(d1))] = 1 / np.sqrt(2)
         pointer_part = np.outer(cat, cat.conj())
         leaky = DensityOperator(np.kron(np.eye(2) / 2, pointer_part), (2, d0.size))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="leaks across pointer windows"):
             runs.subensemble_state(leaky, pointer, 0)
 
 
