@@ -223,9 +223,9 @@ def _cmd_truncate(args) -> dict:
     return {"columns": ["t", "sx", "sy", "gaussian_envelope"], "rows": rows}
 
 
-# bytes per recurrence peak alive when recur writes its output: the peak,
-# its row and its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5:
-# 420 per peak for CSV, 894 for JSON, past about 8 MB of imports)
+# bytes per recurrence peak alive when recur writes its output: its row and
+# its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5: 408-416 per
+# peak for CSV, 876-887 for JSON, past about 7 MB of imports)
 _RECUR_PEAK_BYTES = 900
 
 
@@ -238,18 +238,24 @@ def _cmd_recur(args) -> dict:
     # finite and positive
     if args.g > 0.0 and not math.isfinite(args.nu_max * math.pi / (2.0 * args.g)):
         raise ValidationError("the recurrence peak time nu_max pi/(2g) must be finite")
+    import numpy as np
+
     from . import curie_weiss
     from .qstate import bloch_state
 
-    rows = []
     r0 = bloch_state(_parse_bloch(args.r0))
+    seeds = range(args.seed, args.seed + args.seeds)
+    profiles = []
     # seeds run one after another; no model outlives its own profile, so
     # one coupling table at a time is held
-    for seed in range(args.seed, args.seed + args.seeds):
+    for seed in seeds:
         model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed, r0)
-        peaks = curie_weiss.recurrence_profile(model, args.nu_max)
+        profiles.append(curie_weiss.recurrence_profile(model, args.nu_max))
         del model
-        rows += [[seed, p.nu, p.time, p.measured, p.predicted] for p in peaks]
+    columns = [np.concatenate([getattr(p, name) for p in profiles]).tolist()
+               for name in ("nu", "time", "measured", "predicted")]
+    seed_column = (seed for seed in seeds for _ in range(args.nu_max))
+    rows = list(zip(seed_column, *columns))
     return {"columns": ["seed", "nu", "t_nu", "measured", "predicted"], "rows": rows}
 
 
@@ -305,7 +311,7 @@ def _cmd_finalstate(args) -> dict:
         "p": list(p),
         "window": pointer.window,
         "entropy": vn_entropy(joint),
-        "partition_consts": list(pointer.partition_consts),
+        "log_partition_consts": list(pointer.log_partition_consts),
         "magnet_dim": pointer.pointer_states[0].dim,
     }
 

@@ -27,11 +27,18 @@ generation, which those collections skip; the atexit handlers, the flush of
 stdout and stderr and module teardown by reference count all still run, and
 --out files are closed by then.  --version, --help and a bad command exit
 from the top-level parser before the hook is registered.
+
+Every command runs on one thread, BLAS included.  numpy's OpenBLAS starts
+its worker threads when numpy is imported, so main sets
+OPENBLAS_NUM_THREADS=1 before any command imports numpy.  A value the
+caller set still wins, and a process that imported numpy before calling
+main keeps the threads it has.
 """
 import argparse
 import atexit
 import gc
 import importlib
+import os
 import sys
 
 from . import __version__
@@ -98,6 +105,8 @@ def names_config(token: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         settings = {}
         if any(names_config(token) for token in argv):

@@ -68,12 +68,14 @@ class CurieWeissModel:
             raise ValidationError("couplings must have shape (N,)")
         if np.any(c <= 0.0):
             raise ValidationError("all couplings must be positive")
-        # deviation sums by blocks: no N-sized deviation array
+        # deviation sums by blocks: no N-sized deviation array, and no BLAS
+        # dot, which OpenBLAS may hand to its worker threads
         dsum = dsq = 0.0
         for lo in range(0, c.size, _POWER_BLOCK):
             dg = c[lo:lo + _POWER_BLOCK] - self.g
             dsum += float(dg.sum())
-            dsq += float(dg @ dg)
+            dg *= dg
+            dsq += float(dg.sum())
         if abs(dsum / c.size) > 1e-12 * self.g:
             raise ValidationError("coupling deviations must have zero mean")
         rms = float(np.sqrt(dsq / c.size))
@@ -110,13 +112,19 @@ class TruncationResult:
 
 
 @dataclass(frozen=True)
-class RecurrencePeak:
-    """One recurrence: time, measured |F|, and the Gaussian damping estimate."""
+class RecurrenceProfile:
+    """Recurrence peaks as read-only columns, one entry per peak: the index
+    nu (ints from 1), the time t_nu, the measured |F| and the Gaussian
+    damping estimate."""
 
-    nu: int
-    time: float
-    measured: float
-    predicted: float
+    nu: np.ndarray
+    time: np.ndarray
+    measured: np.ndarray
+    predicted: np.ndarray
+
+    def __post_init__(self):
+        for name in ("nu", "time", "measured", "predicted"):
+            getattr(self, name).setflags(write=False)
 
 
 def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:
@@ -270,7 +278,7 @@ def transverse_expectations(model: CurieWeissModel, times) -> TruncationResult:
     return TruncationResult(times=t, sx=sx, sy=sy, tau=truncation_time(model), sx0=sx0)
 
 
-def recurrence_profile(model: CurieWeissModel, nu_max: int) -> list[RecurrencePeak]:
+def recurrence_profile(model: CurieWeissModel, nu_max: int) -> RecurrenceProfile:
     """Recurrence peaks t_nu = nu*pi/(2g): measured |F| vs exp(-K nu^2).
 
     K = N (pi * delta_g_rms / g)^2 / 2 is the Gaussian estimate of the damping
@@ -287,8 +295,7 @@ def recurrence_profile(model: CurieWeissModel, nu_max: int) -> list[RecurrencePe
     t_peaks = nu * (np.pi / (2.0 * model.g))
     measured = np.abs(_cos_product(model.couplings, t_peaks, shift=model.g))
     predicted = np.exp(-K * nu * nu)
-    return [RecurrencePeak(*peak) for peak in zip(nu.tolist(), t_peaks.tolist(),
-                                                  measured.tolist(), predicted.tolist())]
+    return RecurrenceProfile(nu, t_peaks, measured, predicted)
 
 
 def _cascade_coefficients(r0: DensityOperator, k: int) -> tuple[float, float]:

@@ -62,8 +62,9 @@ def test_criterion_03_recurrence_damping_statistics():
     logs = {1: [], 2: []}
     for seed in range(20):
         model = cw.build_model(n, 1.0, rel, seed=seed, r0=bloch_state((1, 0, 0)))
-        for peak in cw.recurrence_profile(model, 2):
-            logs[peak.nu].append(math.log(peak.measured))
+        peaks = cw.recurrence_profile(model, 2)
+        for nu, measured in zip(peaks.nu.tolist(), peaks.measured.tolist()):
+            logs[nu].append(math.log(measured))
     for nu in (1, 2):
         target = -k_const * nu**2
         mean = float(np.mean(logs[nu]))

@@ -801,3 +801,43 @@ def test_repeated_main_registers_one_exit_hook(capsys, monkeypatch):
     assert cli.main(["chsh"]) == 0
     assert cli.main(["chsh"]) == 0
     assert hooks == [gc.freeze]
+
+
+def _threads_after(argv, blas_threads=None):
+    """Threads of a fresh process after main(argv), from /proc/self/status."""
+    script = ("import contextlib, io\n"
+              "from qmeas.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    main({argv!r})\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(next(l.split()[1] for l in fh if l.startswith('Threads:')))\n")
+    env = {k: v for k, v in SRC_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    return int(out.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_cli_run_keeps_blas_on_one_thread():
+    # an explicit setting wins; where it gives no second thread, numpy's BLAS
+    # starts no OpenBLAS worker here and there is nothing to pin
+    if _threads_after(["chsh"], blas_threads=2) != 2:
+        pytest.skip("numpy's BLAS starts no OpenBLAS worker thread here")
+    assert _threads_after(["chsh"]) == 1
+
+
+@pytest.mark.parametrize("n", [400, 100_000])
+def test_finalstate_prints_log_partitions_past_z_overflow(capsys, n):
+    # Z = exp(721) at N = 400 overflows double precision; ln Z stays finite
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in the JSON")
+
+    code, out, _ = run_cli(capsys, "finalstate", "--N", str(n), "--reduced")
+    assert code == 0
+    data = json.loads(out, parse_constant=refuse)
+    lz_plus, lz_minus = data["log_partition_consts"]
+    assert lz_plus == lz_minus and np.isfinite(lz_plus)
+    m_f = equilibrium.meanfield_magnetization(1.0, 0.5)[1]
+    assert data["outcomes"] == [n * m_f, -n * m_f]

@@ -165,23 +165,24 @@ class TestTransverseExpectations:
 class TestRecurrences:
     def test_equal_couplings_fully_recur(self):
         model = cw.build_model(64, 1.0)
-        for peak in cw.recurrence_profile(model, 3):
-            assert abs(peak.measured) == pytest.approx(1.0, abs=1e-12)
-            assert peak.time == pytest.approx(peak.nu * np.pi / 2.0, rel=1e-12)
+        peaks = cw.recurrence_profile(model, 3)
+        np.testing.assert_allclose(np.abs(peaks.measured), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(peaks.time, peaks.nu * np.pi / 2.0, rtol=1e-12, atol=0.0)
 
     def test_damping_against_prediction(self):
         # statistical formula: match within a factor 10, one seed
         model = cw.build_model(400, 1.0, 0.1, seed=11)
-        peak = cw.recurrence_profile(model, 1)[0]
+        peaks = cw.recurrence_profile(model, 1)
+        predicted, measured = float(peaks.predicted[0]), float(peaks.measured[0])
         k = 0.5 * 400 * (np.pi * 0.1) ** 2
-        assert peak.predicted == pytest.approx(np.exp(-k), rel=1e-12)
-        assert np.exp(-k) / 10 <= abs(peak.measured) <= np.exp(-k) * 10
+        assert predicted == pytest.approx(np.exp(-k), rel=1e-12)
+        assert np.exp(-k) / 10 <= abs(measured) <= np.exp(-k) * 10
 
     def test_predicted_ratio_second_to_first(self):
         model = cw.build_model(400, 1.0, 0.1, seed=2)
-        p1, p2 = cw.recurrence_profile(model, 2)
+        p1, p2 = cw.recurrence_profile(model, 2).predicted
         k = 0.5 * 400 * (np.pi * 0.1) ** 2
-        assert p2.predicted / p1.predicted == pytest.approx(np.exp(-3 * k), rel=1e-9)
+        assert p2 / p1 == pytest.approx(np.exp(-3 * k), rel=1e-9)
 
     def test_peaks_match_scalar_path(self):
         # the columns are vectorised; each peak equals the per-peak scalar
@@ -190,11 +191,14 @@ class TestRecurrences:
         k = 0.5 * model.N * (np.pi * model.delta_g_rms / model.g) ** 2
         t_peaks = np.arange(1, 2001) * (np.pi / (2.0 * model.g))
         peaks = cw.recurrence_profile(model, 2000)
-        assert [p.nu for p in peaks] == list(range(1, 2001))
-        for p in peaks:
-            assert type(p.nu) is int and p.predicted > 0.0
-            assert p.time == float(t_peaks[p.nu - 1])
-            assert p.predicted == float(np.exp(-k * p.nu * p.nu))
+        assert peaks.nu.dtype.kind == "i" and peaks.nu.tolist() == list(range(1, 2001))
+        for col in (peaks.nu, peaks.time, peaks.measured, peaks.predicted):
+            assert col.shape == (2000,) and not col.flags.writeable
+        for nu, time, predicted in zip(peaks.nu.tolist(), peaks.time.tolist(),
+                                       peaks.predicted.tolist()):
+            assert predicted > 0.0
+            assert time == float(t_peaks[nu - 1])
+            assert predicted == float(np.exp(-k * nu * nu))
 
 
 class TestCascadeCorrelations:

@@ -190,6 +190,23 @@ class TestMeanField:
         assert m > M_F_08
         assert m == pytest.approx(np.tanh(1.25 * m + 0.05 / 0.8), abs=1e-12)
 
+    def test_exact_finite_n_magnet_approaches_mean_field(self):
+        # the reduced Gibbs state is an exact sum over the N + 1 sectors; its
+        # <M>/N approaches the root with a 1/N correction, N (m_N - m_MF) =
+        # -2.635, -2.580, -2.575, -2.574 at N = 1e3 .. 1e6, so a Richardson
+        # step over N = 1e5 and 1e6 removes it
+        field = 0.01
+
+        def m_exact(n):
+            h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.8)
+            state, _ = eq.gibbs_with_source(h_m, Observable(diagonal=-field * m_obs.diagonal),
+                                            0.8)
+            return float(state.diagonal @ m_obs.diagonal) / n
+
+        m_mf = eq.meanfield_magnetization(1.0, 0.8, field)
+        assert 1000 * (m_exact(1000) - m_mf) == pytest.approx(-2.6352, abs=1e-4)
+        assert abs((10.0 * m_exact(10**6) - m_exact(10**5)) / 9.0 - m_mf) <= 1e-8
+
 
 def _interior_minima(j, t, field):
     grid = np.linspace(-0.999, 0.999, 20001)
@@ -310,8 +327,8 @@ class TestPointerModel:
             assert abs(mean - a_i) <= pointer.window
             sdev = np.sqrt(qexpect(r_i, a2) - mean**2)
             assert sdev <= pointer.window / 3.0 + 1e-9
-        z0, z1 = pointer.partition_consts
-        assert z0 == pytest.approx(z1, rel=1e-12)
+        lz0, lz1 = pointer.log_partition_consts
+        assert abs(lz0 - lz1) <= 1e-12
         for i, w in enumerate(pointer.window_projectors):
             proj = np.diag(w)
             for jdx, r in enumerate(pointer.pointer_states):
@@ -328,7 +345,7 @@ class TestPointerModel:
         for f_r, r_r, f_a, r_a in zip(full.pointer_states, red.pointer_states,
                                       (full.pointer_obs,) * 2, (red.pointer_obs,) * 2):
             assert qexpect(f_r, f_a) == pytest.approx(qexpect(r_r, r_a), rel=1e-9)
-        assert full.partition_consts[0] == pytest.approx(red.partition_consts[0], rel=1e-9)
+        assert abs(full.log_partition_consts[0] - red.log_partition_consts[0]) <= 1e-9
 
     def test_ordered_phase_required(self):
         with pytest.raises(ValidationError):
@@ -349,9 +366,9 @@ class TestPointerModel:
         assert (full.pointer_states[0].dim, red.pointer_states[0].dim) == (2**n, n + 1)
         assert full.outcomes == red.outcomes
         assert full.window == pytest.approx(red.window, rel=1e-12)
-        z_full, z_red = full.partition_consts, red.partition_consts
-        assert z_full[0] / z_red[0] == pytest.approx(1.0, abs=1e-12)
-        assert z_full[0] / z_full[1] == pytest.approx(z_red[0] / z_red[1], abs=1e-13)
+        lz_full, lz_red = full.log_partition_consts, red.log_partition_consts
+        assert abs(lz_full[0] - lz_red[0]) <= 1e-12
+        assert abs((lz_full[0] - lz_full[1]) - (lz_red[0] - lz_red[1])) <= 1e-13
         m_full, m_red = full.pointer_obs.diagonal, red.pointer_obs.diagonal
         log_deg = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
         for f_st, r_st in zip(full.pointer_states, red.pointer_states):
@@ -390,7 +407,7 @@ def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
         window_projectors=projs,
         pointer_states=states,
         sourced_states=states,
-        partition_consts=(1.0, 1.0),
+        log_partition_consts=(0.0, 0.0),
     )
 
 
@@ -552,5 +569,5 @@ class TestReducedMirrorSymmetry:
 
     def test_opposite_sources_give_equal_partition_constants(self):
         pointer = eq.build_curie_weiss_pointer(200, 1.0, 0.5, reduced=True)
-        z_plus, z_minus = pointer.partition_consts
-        assert z_plus == z_minus
+        lz_plus, lz_minus = pointer.log_partition_consts
+        assert lz_plus == lz_minus

@@ -126,18 +126,18 @@ def test_recurrences_past_the_radius_match_mpmath():
     peaks = cw.recurrence_profile(model, 4)
     # the deviation angles of the first peak already leave the series
     d_max = float(np.max(np.abs(model.couplings - model.g)))
-    assert 2.0 * d_max * peaks[0].time > cw._series_radius(model.N)
-    for p in peaks:
-        assert abs(p.measured / _mp_recurrence(model, p.nu) - 1.0) <= 1e-12
+    assert 2.0 * d_max * peaks.time[0] > cw._series_radius(model.N)
+    for nu, measured in zip(peaks.nu.tolist(), peaks.measured.tolist()):
+        assert abs(measured / _mp_recurrence(model, nu) - 1.0) <= 1e-12
 
 
 def test_recurrence_series_at_large_n_matches_mpmath():
     model = cw.build_model(10**5, 1.0, 0.001, 7)
     peaks = cw.recurrence_profile(model, 4)
     d_max = float(np.max(np.abs(model.couplings - model.g)))
-    assert 2.0 * d_max * peaks[-1].time <= cw._series_radius(model.N)
+    assert 2.0 * d_max * peaks.time[-1] <= cw._series_radius(model.N)
     # the deepest peak has the largest deviation angles
-    assert abs(peaks[-1].measured / _mp_recurrence(model, 4) - 1.0) <= 1e-12
+    assert abs(peaks.measured[-1] / _mp_recurrence(model, 4) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 16, 1000])
@@ -145,8 +145,8 @@ def test_zero_spread_recurs_exactly(n):
     model = cw.build_model(n, 0.3)
     with np.errstate(all="raise"):
         peaks = cw.recurrence_profile(model, 6)
-    assert [p.measured for p in peaks] == [1.0] * 6
-    assert [p.predicted for p in peaks] == [1.0] * 6
+    assert peaks.measured.tolist() == [1.0] * 6
+    assert peaks.predicted.tolist() == [1.0] * 6
 
 
 # ------------------------------------------------------------ small cascades
