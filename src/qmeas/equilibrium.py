@@ -1,11 +1,13 @@
-"""Thermodynamic registration: max-entropy states, Gibbs pointer states with
-symmetry-breaking sources, Curie-Weiss mean-field magnetization, and assembly
-of the measured joint state.
+"""Thermodynamic registration: one max-entropy solver (its no-constraint
+case gives the Gibbs pointer states with symmetry-breaking sources),
+Curie-Weiss mean-field magnetization, and assembly of the measured joint state.
 
 The magnet Hamiltonian is the long-range Ising form H_M = -(J/2N) M_z^2 (a
 model choice; the symmetry arguments need nothing more).  Registration is
 treated as endpoint thermodynamics: no rate equations, only the equilibrium
-states the dynamics relaxes to.  Temperatures are energies (k_B = 1).
+states the dynamics relaxes to.  Temperatures are energies (k_B = 1).  Every
+registration operator is diagonal in the M_z basis and is handled as its
+diagonal, by the solver too.
 """
 from __future__ import annotations
 
@@ -65,10 +67,13 @@ class ConstraintSet:
         object.__setattr__(self, "dim", dims.pop())
         if obs:
             k = len(obs)
+            # diagonal operators: the Hilbert-Schmidt product is that of the diagonals
+            ds = [diagonal_or_none(o) for o in obs]
+            vs = ds if all(d is not None for d in ds) else [o.matrix for o in obs]
             gram = np.empty((k, k))
             for a in range(k):
                 for b in range(a, k):
-                    g = np.real(np.vdot(obs[a].matrix, obs[b].matrix))
+                    g = np.real(np.vdot(vs[a], vs[b]))
                     gram[a, b] = gram[b, a] = g
             eigs = np.linalg.eigvalsh(gram)
             if eigs[0] < _GRAM_RTOL * max(eigs[-1], 1e-300):
@@ -90,10 +95,10 @@ class MaxEntSolution:
 def _gibbs_of_exponent(a: np.ndarray):
     """Probabilities and log-partition for exponent eigenvalues a."""
     amin = float(a.min())
-    p = np.exp(-(a - amin))
-    s = float(p.sum())
-    logz = np.log(s) - amin
-    return p / s, logz
+    with np.errstate(under="ignore"):  # a weight below the normal range is rounding
+        p = np.exp(-(a - amin))
+        s = float(p.sum())
+        return p / s, np.log(s) - amin
 
 
 def _kubo_weights(p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -102,8 +107,7 @@ def _kubo_weights(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     dp = p[:, None] - p[None, :]
     scale = 1e-12 * max(1.0, float(np.max(np.abs(a))))
     near = np.abs(da) < scale
-    w = np.where(near, 0.5 * (p[:, None] + p[None, :]), dp / np.where(near, 1.0, da))
-    return w
+    return np.where(near, 0.5 * (p[:, None] + p[None, :]), dp / np.where(near, 1.0, da))
 
 
 def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
@@ -111,82 +115,90 @@ def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
     """Maximize von Neumann entropy subject to expectation constraints.
 
     Solves the smooth convex dual psi(lambda) = ln Z + lambda.c by damped
-    Newton with the exact quantum covariance (Kubo) Hessian and Armijo
-    backtracking.  Infeasible targets surface as multiplier blowup.
+    Newton with Armijo backtracking; infeasible targets surface as multiplier
+    blowup.  H enters as H * (1/T).  When H and every observable are diagonal
+    (every registration problem) the exponent is a vector, the Hessian is the
+    classical covariance and the state is stored as its diagonal; otherwise
+    each step runs eigh and the Hessian is the quantum (Kubo) covariance.
     """
     dim = constraints.dim
-    if constraints.temperature is not None:
-        m_fixed = np.asarray(constraints.hamiltonian.matrix, dtype=np.complex128) / constraints.temperature
-        beta = 1.0 / constraints.temperature
-    else:
-        m_fixed = np.zeros((dim, dim), dtype=np.complex128)
-        beta = None
-    xs = np.stack([o.matrix for o in constraints.observables]) if constraints.observables \
-        else np.zeros((0, dim, dim), dtype=np.complex128)
+    beta = None if constraints.temperature is None else 1.0 / constraints.temperature
+    fixed = () if beta is None else (constraints.hamiltonian,)
     c = np.asarray(constraints.targets, dtype=np.float64)
-    k = xs.shape[0]
-    lam = np.zeros(k)
+    k = c.size
+    # each path's decompose(lambda) gives (p, ln Z, ...), which its moments and state read
+    diags = [diagonal_or_none(o) for o in fixed + constraints.observables]
+    if all(d is not None for d in diags):
+        xs = [d.real for d in diags[len(fixed):]]
+        a_fixed = diags[0].real * beta if fixed else np.zeros(dim)
 
-    def decompose(l):
-        m = m_fixed + np.tensordot(l, xs, axes=1) if k else m_fixed
-        a, v = np.linalg.eigh(m)
-        p, logz = _gibbs_of_exponent(a)
-        return a, v, p, logz
+        def decompose(l):
+            with np.errstate(under="ignore"):
+                return _gibbs_of_exponent(a_fixed + sum(li * x for li, x in zip(l.tolist(), xs)))
 
-    def expectations(a, v, p):
-        if not k:
-            return np.zeros(0)
-        xt = np.einsum("im,aij,jn->amn", v.conj(), xs, v, optimize=True)
-        ex = np.einsum("amm,m->a", xt, p).real
-        return ex, xt
+        def moments(pt):
+            # products and .sum, not BLAS dots, whose last digits follow the thread count
+            p = pt[0]
+            with np.errstate(under="ignore"):
+                ex = np.array([(p * x).sum() for x in xs])
+                dxs = [x - e for x, e in zip(xs, ex.tolist())]
+                hess = np.array([[(p * u * w).sum() for w in dxs] for u in dxs])
+            return ex, hess
 
-    a, v, p, logz = decompose(lam)
-    psi = logz + float(lam @ c)
-    it = 0
-    if k:
-        ex, xt = expectations(a, v, p)
-        grad = c - ex
-        while float(np.max(np.abs(grad))) > tol:
-            if it >= max_iter:
-                raise ConvergenceError(f"maxent solver: no convergence in {max_iter} iterations")
-            if float(np.max(np.abs(lam))) > _MULTIPLIER_CAP:
-                raise InfeasibleError("maxent targets infeasible: multipliers diverge")
-            w = _kubo_weights(p, a)
-            dxt = xt.copy()
-            idx = np.arange(dim)
-            dxt[:, idx, idx] -= ex[:, None]
-            hess = np.einsum("amn,bmn,mn->ab", dxt, dxt.conj(), w, optimize=True).real
-            hess = 0.5 * (hess + hess.T)
-            hess[np.diag_indices(k)] += 1e-14 * max(1.0, float(np.trace(hess)) / k)
-            step = np.linalg.solve(hess, -grad)
-            alpha = 1.0
-            slope = float(grad @ step)
-            while True:
-                trial = lam + alpha * step
-                a_t, v_t, p_t, logz_t = decompose(trial)
-                psi_t = logz_t + float(trial @ c)
-                if psi_t <= psi + 1e-4 * alpha * slope or alpha < 1e-12:
-                    break
-                alpha *= 0.5
-            if alpha < 1e-12:
-                raise ConvergenceError("maxent solver: line search stalled")
-            lam, a, v, p, logz, psi = trial, a_t, v_t, p_t, logz_t, psi_t
-            ex, xt = expectations(a, v, p)
-            grad = c - ex
-            it += 1
-        residuals = np.abs(grad)
+        def state(pt):
+            return DensityOperator(diagonal=pt[0])
     else:
-        residuals = np.zeros(0)
-    dmat = (v * p) @ v.conj().T
-    dmat = 0.5 * (dmat + dmat.conj().T)
-    return MaxEntSolution(
-        state=DensityOperator(dmat),
-        gamma=logz,
-        beta=beta,
-        multipliers=lam,
-        residuals=residuals,
-        iterations=it,
-    )
+        m_fixed = np.asarray(constraints.hamiltonian.matrix, dtype=np.complex128) * beta \
+            if fixed else np.zeros((dim, dim), dtype=np.complex128)
+        xs = np.stack([o.matrix for o in constraints.observables]) if k else None
+
+        def decompose(l):
+            a, v = np.linalg.eigh(m_fixed + np.tensordot(l, xs, axes=1) if k else m_fixed)
+            return _gibbs_of_exponent(a) + (a, v)
+
+        def moments(pt):
+            p, _, a, v = pt
+            xt = np.einsum("im,aij,jn->amn", v.conj(), xs, v, optimize=True)
+            ex = np.einsum("amm,m->a", xt, p).real
+            idx = np.arange(dim)
+            xt[:, idx, idx] -= ex[:, None]
+            w = _kubo_weights(p, a)
+            return ex, np.einsum("amn,bmn,mn->ab", xt, xt.conj(), w, optimize=True).real
+
+        def state(pt):
+            dmat = (pt[3] * pt[0]) @ pt[3].conj().T
+            return DensityOperator(0.5 * (dmat + dmat.conj().T))
+
+    lam = np.zeros(k)
+    pt = decompose(lam)
+    psi, it = pt[1], 0
+    ex, hess = moments(pt) if k else (np.zeros(0), None)
+    grad = c - ex
+    while k and float(np.max(np.abs(grad))) > tol:
+        if it >= max_iter:
+            raise ConvergenceError(f"maxent solver: no convergence in {max_iter} iterations")
+        if float(np.max(np.abs(lam))) > _MULTIPLIER_CAP:
+            raise InfeasibleError("maxent targets infeasible: multipliers diverge")
+        hess = 0.5 * (hess + hess.T)
+        hess[np.diag_indices(k)] += 1e-14 * max(1.0, float(np.trace(hess)) / k)
+        step = np.linalg.solve(hess, -grad)
+        alpha = 1.0
+        slope = float(grad @ step)
+        while True:
+            trial = lam + alpha * step
+            pt_t = decompose(trial)
+            psi_t = pt_t[1] + float(trial @ c)
+            if psi_t <= psi + 1e-4 * alpha * slope or alpha < 1e-12:
+                break
+            alpha *= 0.5
+        if alpha < 1e-12:
+            raise ConvergenceError("maxent solver: line search stalled")
+        lam, pt, psi = trial, pt_t, psi_t
+        ex, hess = moments(pt)
+        grad = c - ex
+        it += 1
+    return MaxEntSolution(state=state(pt), gamma=float(pt[1]), beta=beta, multipliers=lam,
+                          residuals=np.abs(grad), iterations=it)
 
 
 def _real_diagonals(ops, what: str) -> list[np.ndarray]:
@@ -194,29 +206,6 @@ def _real_diagonals(ops, what: str) -> list[np.ndarray]:
     if any(d is None for d in ds):
         raise ValidationError(f"{what} must be diagonal in the M_z basis")
     return [d.real for d in ds]
-
-
-def gibbs_with_source(h_m: Observable, source: Observable | None, temperature: float
-                      ) -> tuple[DensityOperator, float]:
-    """Gibbs state of H_M + source at temperature T, with its log-partition ln Z.
-
-    Both operators must be diagonal in the M_z basis, as every registration
-    operator is (the Hamiltonian conserves M_z); the state is built and stored
-    as its diagonal.  ln Z has the convention of MaxEntSolution.gamma.  The
-    Gibbs state of a non-diagonal H is maxent_state(ConstraintSet(
-    temperature=T, hamiltonian=H)).
-    """
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    if source is not None and source.dim != h_m.dim:
-        raise ValidationError("source dimension mismatch")
-    ops = [h_m] if source is None else [h_m, source]
-    diags = _real_diagonals(ops, "H_M and the source")
-    total = diags[0] if source is None else diags[0] + diags[1]
-    # times 1/T, not divided by T: the two can differ in the last bit, and
-    # the values finalstate and register print are those of this form
-    p, logz = _gibbs_of_exponent(total * (1.0 / temperature))
-    return DensityOperator(diagonal=p), float(logz)
 
 
 def _check_jt(j: float, t: float) -> None:
@@ -349,7 +338,9 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     the result is flagged converged=False and the last value is reported.
     """
     scales = np.asarray(h_scale_sequence, dtype=np.float64)
-    d_src = _real_diagonals([source], "source")[0]
+    d_h, d_src = _real_diagonals([h_m, source], "H_M and the source")
+    if d_h.shape != d_src.shape:
+        raise ValidationError("source dimension mismatch")
     # s * max|source| in Python floats: an overflow gives inf here, not a
     # RuntimeWarning from the scaled source
     peak = float(np.max(np.abs(d_src)))
@@ -363,7 +354,8 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     values = []
     state = None
     for s in scales:
-        state, _ = gibbs_with_source(h_m, Observable(diagonal=s * d_src), temperature)
+        total = Observable(diagonal=d_h + s * d_src)
+        state = maxent_state(ConstraintSet(temperature=temperature, hamiltonian=total)).state
         values.append(qexpect(state, pointer_obs))
     values = np.asarray(values)
     if scales.size == 1 or np.ptp(scales) == 0:
@@ -539,7 +531,8 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
                               f"overflow the Gibbs exponents")
     mz = m_obs.diagonal
     energies = h_m.diagonal
-    weights = np.exp(-(energies - energies.min()) / temperature)
+    with np.errstate(under="ignore"):  # a weight below the normal range is rounding
+        weights = np.exp(-(energies - energies.min()) / temperature)
     m_f = meanfield_magnetization(j, temperature)[1]
     outcomes = (n_spins * m_f, -n_spins * m_f)
     gap = 2.0 * n_spins * m_f
@@ -550,9 +543,11 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         total = w.sum()
         if total <= 0:
             raise ValidationError("empty magnetization window; increase delta")
-        mean = float((w @ mz) / total)
-        var = float((w @ mz**2) / total - mean**2)
-        return mask, w / total, mean, np.sqrt(max(var, 0.0))
+        # sums of products, not BLAS dots, whose last digits follow the thread count
+        with np.errstate(under="ignore"):
+            mean = float((w * mz).sum() / total)
+            var = float((w * mz**2).sum() / total - mean**2)
+            return mask, w / total, mean, np.sqrt(max(var, 0.0))
 
     if delta is None:
         half = gap / 3.0
@@ -573,48 +568,36 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         mask, probs, _, _ = window_stats(a, half)
         projs.append(mask)
         states.append(DensityOperator(diagonal=probs))
-    sourced, logzs = [], []
-    for sign in (1.0, -1.0):
-        src = Observable(diagonal=-sign * source_strength * mz)
-        st, logz = gibbs_with_source(h_m, src, temperature)
-        sourced.append(st)
-        logzs.append(logz)
+    sols = [maxent_state(ConstraintSet(temperature=temperature, hamiltonian=Observable(
+        diagonal=energies - sign * source_strength * mz))) for sign in (1.0, -1.0)]
     return PointerModel(
         pointer_obs=m_obs,
         outcomes=outcomes,
         window=half,
         window_projectors=tuple(projs),
         pointer_states=tuple(states),
-        sourced_states=tuple(sourced),
-        log_partition_consts=tuple(logzs),
+        sourced_states=tuple(sol.state for sol in sols),
+        log_partition_consts=tuple(sol.gamma for sol in sols),
     )
 
 
 def final_joint_state(r0: DensityOperator, tested, pointer: PointerModel) -> DensityOperator:
     """Registered endpoint sum_i p_i r_i (x) R_i; zero-weight outcomes omitted.
 
-    When every pinched P_i r0 P_i is diagonal (an s_z measurement) the sum is
-    diagonal and is built and stored as its diagonal; otherwise it is the
-    dense Kronecker sum.
+    Built and stored as its diagonal: every pinched P_i r0 P_i must be
+    diagonal (an s_z measurement), else ValidationError.
     """
     projs = tested.projectors
     if len(projs) != len(pointer.pointer_states):
         raise ValidationError("tested outcomes and pointer states must align")
-    dim_s = r0.dim
-    dim_m = pointer.pointer_states[0].dim
-    terms = []
+    dims = (r0.dim, pointer.pointer_states[0].dim)
+    out = np.zeros(dims[0] * dims[1])
     for proj, r_m in zip(projs, pointer.pointer_states):
         pinched = proj @ r0.matrix @ proj
         if float(np.trace(pinched).real) > 0.0:
-            terms.append((pinched, r_m))
-    dims = (dim_s, dim_m)
-    pinched_diags = [diagonal_or_none(pinched) for pinched, _ in terms]
-    if all(d is not None for d in pinched_diags):
-        out = np.zeros(dim_s * dim_m)
-        for d, (_, r_m) in zip(pinched_diags, terms):
-            out += np.kron(d.real, diagonal_or_none(r_m).real)
-        return DensityOperator(diagonal=out, subsystem_dims=dims)
-    out = np.zeros((dim_s * dim_m, dim_s * dim_m), dtype=np.complex128)
-    for pinched, r_m in terms:
-        out += np.kron(pinched, r_m.matrix)
-    return DensityOperator(out, subsystem_dims=dims)
+            d = diagonal_or_none(pinched)
+            if d is None:
+                raise ValidationError("every pinched P_i r0 P_i must be diagonal")
+            with np.errstate(under="ignore"):  # subnormal products are rounding
+                out += np.kron(d.real, diagonal_or_none(r_m).real)
+    return DensityOperator(diagonal=out, subsystem_dims=dims)

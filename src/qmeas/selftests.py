@@ -70,6 +70,7 @@ def _selftest_register():
     import numpy as np
 
     from . import equilibrium
+    from .qstate import Observable
 
     _check(equilibrium.meanfield_magnetization(1.0, 1.5) == 0.0, "no magnetization above T_C")
     _check(abs(equilibrium.meanfield_magnetization(1.0, 0.5, 50.0) - 1.0) < 1e-6,
@@ -80,6 +81,19 @@ def _selftest_register():
     f_mirror = equilibrium.free_energy_profile(1.0, 0.8, 0.3, -grid)
     _check(np.max(np.abs((f_plus - f_mirror) - (-2.0 * 0.3 * grid))) < 1e-12,
            "F(m) - F(-m) must be -2 h m")
+    # <M/N> = m_F on 9 sectors: on diagonals, and rotated by the DFT into dense operators
+    h_m, m_obs = equilibrium.reduced_magnet_operators(8, 1.0, 0.8)
+    m_f = equilibrium.meanfield_magnetization(1.0, 0.8)[1]
+    u = np.exp(2j * np.pi * np.outer(np.arange(9), np.arange(9)) / 9) / 3.0
+    sols = [equilibrium.maxent_state(equilibrium.ConstraintSet(
+        observables=(op(m_obs.diagonal / 8),), targets=(m_f,), temperature=0.8,
+        hamiltonian=op(h_m.diagonal)))
+        for op in (lambda d: Observable(diagonal=d), lambda d: Observable((u * d) @ u.conj().T))]
+    _check(abs(float(sols[0].state.diagonal @ m_obs.diagonal) / 8 - m_f) <= 1e-10,
+           "the diagonal maxent solve must meet <M/N> = m_F to 1e-10")
+    _check(abs(sols[0].multipliers[0] - sols[1].multipliers[0]) <= 1e-12
+           and abs(sols[0].gamma - sols[1].gamma) <= 1e-12,
+           "the diagonal maxent solve must agree with the rotated dense solve")
 
 
 def _selftest_finalstate():

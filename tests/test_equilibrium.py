@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,67 @@ class TestMaxEnt:
                                              targets=(1.5,)))
 
 
+def _gibbs(h_diag, temperature):
+    """The Gibbs state of a diagonal H: maxent_state with no constraint."""
+    return eq.maxent_state(eq.ConstraintSet(temperature=temperature,
+                                            hamiltonian=Observable(diagonal=h_diag)))
+
+
+def _rotated(diag, u):
+    """The dense operator U diag(d) U^dag."""
+    return Observable((u * diag) @ u.conj().T)
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestMaxEntDiagonal:
+    def test_rotated_problem_matches_dense_path(self, rng):
+        # the same problem in a rotated basis takes the eigh/Kubo path
+        dim = 31
+        h = rng.normal(size=dim)
+        xs = [rng.normal(size=dim) for _ in range(3)]
+        probe = rng.dirichlet(np.ones(dim))
+        targets = tuple(float(probe @ x) for x in xs)
+        u = _random_unitary(dim, rng)
+        diag = eq.maxent_state(eq.ConstraintSet(
+            observables=tuple(Observable(diagonal=x) for x in xs), targets=targets,
+            temperature=0.7, hamiltonian=Observable(diagonal=h)))
+        dense = eq.maxent_state(eq.ConstraintSet(
+            observables=tuple(_rotated(x, u) for x in xs), targets=targets,
+            temperature=0.7, hamiltonian=_rotated(h, u)))
+        assert diag.state.diagonal is not None and dense.state.diagonal is None
+        assert np.max(np.abs(diag.residuals)) <= 1e-10
+        np.testing.assert_allclose(diag.multipliers, dense.multipliers, rtol=0.0, atol=1e-12)
+        assert diag.gamma == pytest.approx(dense.gamma, abs=1e-12)
+        back = DensityOperator(u.conj().T @ dense.state.matrix @ u)
+        assert trace_distance(diag.state, back) <= 1e-12
+
+    def test_one_constraint_at_a_million_sectors(self):
+        # <M/N> = m_F on the reduced magnet: the least source that centres the
+        # pointer at N m_F
+        n = 10**6
+        h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.8)
+        sol = eq.maxent_state(eq.ConstraintSet(
+            observables=(Observable(diagonal=m_obs.diagonal / n),), targets=(M_F_08,),
+            temperature=0.8, hamiltonian=h_m))
+        assert sol.state.dim == n + 1 and sol.state.diagonal is not None
+        assert np.max(np.abs(sol.residuals)) <= 1e-10
+        assert float(sol.state.diagonal @ m_obs.diagonal) / n == pytest.approx(M_F_08, abs=1e-10)
+
+    def test_gram_check_on_diagonals_at_a_million_sectors(self):
+        # the dense matrix of one such operator would be 16 TB
+        m = eq.reduced_magnet_operators(10**6, 1.0, 0.8)[1].diagonal / 10**6
+        cs = eq.ConstraintSet(observables=(Observable(diagonal=m), Observable(diagonal=m**2)),
+                              targets=(0.0, 1.0))
+        assert cs.dim == 10**6 + 1
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            eq.ConstraintSet(observables=(Observable(diagonal=m), Observable(diagonal=2 * m)),
+                             targets=(0.0, 0.0))
+
+
 class TestGibbsWithSource:
     def test_infinite_temperature_limit(self, rng):
         # a dense Gibbs state is the fixed-beta maxent state
@@ -139,35 +204,35 @@ class TestGibbsWithSource:
         h_m, m_obs = eq.reduced_magnet_operators(4, 1.0, 0.8)
         coherent = random_hermitian(5, rng)
         with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
-            eq.gibbs_with_source(coherent, None, 0.8)
-        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
-            eq.gibbs_with_source(h_m, coherent, 0.8)
-        with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
             eq.pointer_limit(h_m, coherent, 0.8, [0.2, 0.1], m_obs)
         with pytest.raises(ValidationError, match="diagonal in the M_z basis"):
             eq.pointer_limit(coherent, Observable(diagonal=-m_obs.diagonal), 0.8, [0.2, 0.1],
                              m_obs)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            eq.pointer_limit(h_m, Observable(diagonal=np.ones(4)), 0.8, [0.2, 0.1], m_obs)
 
     def test_log_partition_matches_maxent_gamma(self):
         h_m, m_obs = eq.reduced_magnet_operators(6, 1.0, 0.8)
-        src = Observable(diagonal=-0.3 * m_obs.diagonal)
-        state, logz = eq.gibbs_with_source(h_m, src, 0.8)
-        total = Observable(diagonal=h_m.diagonal + src.diagonal)
-        sol = eq.maxent_state(eq.ConstraintSet(temperature=0.8, hamiltonian=total))
-        assert logz == pytest.approx(sol.gamma, abs=1e-12)
-        assert trace_distance(state, sol.state) <= 1e-12
+        total = h_m.diagonal - 0.3 * m_obs.diagonal
+        sol = _gibbs(total, 0.8)
+        assert sol.state.diagonal is not None
+        logz = math.log(math.fsum(math.exp(-e / 0.8) for e in total))
+        assert sol.gamma == pytest.approx(logz, abs=1e-12)
+        u = _random_unitary(7, np.random.default_rng(7))
+        dense = eq.maxent_state(eq.ConstraintSet(temperature=0.8, hamiltonian=_rotated(total, u)))
+        assert dense.gamma == pytest.approx(sol.gamma, abs=1e-12)
+        back = DensityOperator(u.conj().T @ dense.state.matrix @ u)
+        assert trace_distance(back, sol.state) <= 1e-12
 
     def test_single_spin_closed_form(self):
-        zero = Observable(np.zeros((2, 2), dtype=complex))
         for g, t in ((0.7, 1.0), (0.2, 0.5)):
-            state, _ = eq.gibbs_with_source(zero, Observable(-g * SIGMA_Z), t)
+            state = _gibbs(-g * np.diag(SIGMA_Z).real, t).state
             assert qexpect(state, Observable(SIGMA_Z)) == pytest.approx(np.tanh(g / t), abs=1e-12)
 
     def test_partition_equal_for_unitarily_related_sources(self):
         h_m, m_obs = eq.magnet_operators(4, 1.0)
-        m = np.asarray(m_obs.matrix)
-        _, logz_up = eq.gibbs_with_source(h_m, Observable(-0.3 * m), 0.8)
-        _, logz_dn = eq.gibbs_with_source(h_m, Observable(+0.3 * m), 0.8)
+        logz_up = _gibbs(h_m.diagonal - 0.3 * m_obs.diagonal, 0.8).gamma
+        logz_dn = _gibbs(h_m.diagonal + 0.3 * m_obs.diagonal, 0.8).gamma
         assert logz_up == pytest.approx(logz_dn, rel=0.0, abs=1e-12)
 
 
@@ -199,8 +264,7 @@ class TestMeanField:
 
         def m_exact(n):
             h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.8)
-            state, _ = eq.gibbs_with_source(h_m, Observable(diagonal=-field * m_obs.diagonal),
-                                            0.8)
+            state = _gibbs(h_m.diagonal - field * m_obs.diagonal, 0.8).state
             return float(state.diagonal @ m_obs.diagonal) / n
 
         m_mf = eq.meanfield_magnetization(1.0, 0.8, field)
@@ -265,7 +329,7 @@ class TestPointerLimit:
         assert lim.converged
         assert lim.values.size == 3
         assert lim.extrapolated == lim.values[-1]
-        state, _ = eq.gibbs_with_source(h_m, Observable(0.25 * np.asarray(src.matrix)), 0.8)
+        state = _gibbs(h_m.diagonal + 0.25 * np.diag(src.matrix).real, 0.8).state
         assert lim.extrapolated == pytest.approx(qexpect(state, m_obs), abs=1e-12)
 
     def test_commuting_observable_sequence_monotone(self):
@@ -465,17 +529,14 @@ class TestFinalJointState:
         assert np.array_equal(joint.matrix, dense)
         assert vn_entropy(joint) == vn_entropy(DensityOperator(dense, joint.subsystem_dims))
 
-    def test_sx_projectors_keep_the_dense_sum(self):
+    def test_sx_projectors_refused(self):
+        # s_x pinches r0 to a non-diagonal state: no diagonal joint state exists
         pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
         plus = np.full((2, 2), 0.5, dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         tested = runs.TestedObservable((1.0, -1.0), (plus, minus))
-        r0 = bloch_state((0.3, 0.2, 0.6))
-        joint = eq.final_joint_state(r0, tested, pointer)
-        assert joint.diagonal is None
-        dense = sum(np.kron(p @ r0.matrix @ p, r.matrix)
-                    for p, r in zip(tested.projectors, pointer.pointer_states))
-        assert np.array_equal(joint.matrix, dense)
+        with pytest.raises(ValidationError, match="must be diagonal"):
+            eq.final_joint_state(bloch_state((0.3, 0.2, 0.6)), tested, pointer)
 
     def test_marginal_is_the_pinched_state(self):
         pointer = eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
@@ -571,3 +632,37 @@ class TestReducedMirrorSymmetry:
         pointer = eq.build_curie_weiss_pointer(200, 1.0, 0.5, reduced=True)
         lz_plus, lz_minus = pointer.log_partition_consts
         assert lz_plus == lz_minus
+
+
+class TestRegistrationUnderRaise:
+    def test_registration_defined_under_raise(self):
+        # Gibbs weights below the normal range are rounding, not an error
+        r0 = bloch_state((0.5, 0.2, 0.3))
+        with np.errstate(all="raise"):
+            for n in (1000, 10**6):
+                pointer = eq.build_curie_weiss_pointer(n, 1.0, 0.5, reduced=True)
+                joint = eq.final_joint_state(r0, sz_observable(), pointer)
+                assert math.isfinite(vn_entropy(joint))
+            n = 10**6
+            h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.8)
+            lim = eq.pointer_limit(h_m, Observable(diagonal=-m_obs.diagonal), 0.8,
+                                   [0.02, 0.01], m_obs)
+            assert np.all(np.isfinite(lim.values))
+            sol = eq.maxent_state(eq.ConstraintSet(
+                observables=(Observable(diagonal=m_obs.diagonal / n),), targets=(M_F_08,),
+                temperature=0.8, hamiltonian=h_m))
+            assert np.max(np.abs(sol.residuals)) <= 1e-10
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+    def test_window_independent_of_blas_threads(self):
+        # 2^16 entries: past the size at which OpenBLAS splits a dot over threads
+        code = ("from qmeas import equilibrium as eq; "
+                "print(repr(eq.build_curie_weiss_pointer(16, 1.0, 0.5).window))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        windows = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, check=True)
+            windows.append(out.stdout)
+        assert windows[0] == windows[1]
