@@ -3,16 +3,14 @@ feasibility.
 
 Each correlator is an ordinary commuting-pair expectation; the CHSH value C
 assembles four of them.  Whether a single probability distribution over all
-four +/-1 observables could reproduce a correlator table is a 16-variable
-linear feasibility problem.  Its 9 x 16 constraint matrix does not depend on
-the table, so it is solved exactly by trying every basic solution at once:
-the 4096 nonsingular 9-column bases and their inverses are tabulated on
-first use.  Every answer is cross-validated against the 24 facets of the
-local polytope (Fine's theorem): the 8 CHSH variants and the 16 pair cells.
+four +/-1 observables could reproduce a correlator table is decided by the
+24 facets of the local polytope (Fine's theorem): the 8 CHSH variants and
+the 16 pair cells.  A feasible table's distribution is built in closed form
+by gluing the triangles (a0, a1, b0) and (a0, a1, b1) along <a0 a1>, and is
+checked against the 9 x 16 moment system before it is returned.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -158,65 +156,23 @@ def chsh_variants(table: CorrelatorTable) -> list[tuple[tuple[int, ...], float]]
     return out
 
 
-@functools.cache
-def _feasibility_matrix() -> np.ndarray:
-    # variables q(sa0, sa1, sb0, sb1) over +/-1 outcomes, flattened with
-    # sign index 0 -> +1, 1 -> -1; rows: the four correlators, the two
-    # first-side and two second-side marginals, and the normalization
-    signs = np.array([1.0, -1.0])[np.array(list(itertools.product((0, 1), repeat=4)))]
-    first, second = signs[:, :2].T, signs[:, 2:].T
-    rows = [first[i] * second[jdx] for i in range(2) for jdx in range(2)]
-    a_mat = np.array([*rows, *first, *second, np.ones(16)])
-    a_mat.setflags(write=False)
-    return a_mat
+def _outcome_signs(count: int) -> np.ndarray:
+    """The 2^count outcomes of count +/-1 observables, one per row, with
+    sign index 0 -> +1 (the first observable varies slowest)."""
+    return np.array([1.0, -1.0])[np.array(list(itertools.product((0, 1), repeat=count)))]
 
 
 def _feasibility_system(table: CorrelatorTable) -> tuple[np.ndarray, np.ndarray]:
+    # variables q(sa0, sa1, sb0, sb1) over the 16 outcomes; rows: the four
+    # correlators, the two first-side and two second-side marginals, and the
+    # normalization
+    signs = _outcome_signs(4)
+    first, second = signs[:, :2].T, signs[:, 2:].T
+    rows = [first[i] * second[jdx] for i in range(2) for jdx in range(2)]
+    a_mat = np.array([*rows, *first, *second, np.ones(16)])
     b_vec = np.concatenate([table.correlators.ravel(), table.marginals_a,
                             table.marginals_b, [1.0]])
-    return _feasibility_matrix(), b_vec
-
-
-@functools.cache
-def _basis_table() -> tuple[np.ndarray, np.ndarray]:
-    """(columns, inverses) of the 4096 nonsingular 9-column bases of the
-    feasibility matrix, out of C(16, 9) = 11440 column subsets.
-
-    Every nonsingular basis has |det| = 4096 (the tests check this), so
-    4096 B^-1 is an integer matrix (the adjugate up to sign) and rounding it
-    makes the inverses exact; |det| > 2048 is then an exact singularity
-    test.  Built on first use (about 50 ms and 14 MB), not at import.
-    """
-    a_mat = _feasibility_matrix()
-    cols = np.array(list(itertools.combinations(range(a_mat.shape[1]), a_mat.shape[0])))
-    blocks = a_mat[:, cols].transpose(1, 0, 2)
-    keep = np.abs(np.linalg.det(blocks)) > 2048.0
-    inverses = np.round(4096.0 * np.linalg.inv(blocks[keep])) / 4096.0
-    cols = cols[keep]
-    cols.setflags(write=False)
-    inverses.setflags(write=False)
-    return cols, inverses
-
-
-def _nonnegative_solution(a_mat: np.ndarray, b_vec: np.ndarray, tol: float):
-    """Find x >= 0 with A x = b to within 10 tol, or None when there is none.
-
-    A is the feasibility matrix.  When any x >= 0 solves A x = b, a basic one
-    does (at most 9 nonzero entries), so computing B^-1 b for every basis B
-    and keeping the one whose smallest entry is largest (the lowest index on
-    ties) decides the problem; entries down to -tol are clipped to zero.
-    """
-    cols, inverses = _basis_table()
-    xb = inverses @ b_vec
-    worst = xb.min(axis=1)
-    best = int(np.argmax(worst))
-    if worst[best] < -tol:
-        return None
-    x = np.zeros(a_mat.shape[1])
-    x[cols[best]] = np.clip(xb[best], 0.0, None)
-    if np.max(np.abs(a_mat @ x - b_vec)) > 10 * tol:
-        return None
-    return x
+    return a_mat, b_vec
 
 
 def _worst_pair_cell(table: CorrelatorTable) -> tuple:
@@ -234,47 +190,64 @@ def _worst_pair_cell(table: CorrelatorTable) -> tuple:
     return worst
 
 
-def _pair_negativity(table: CorrelatorTable) -> Witness | None:
-    cell, i, jdx, sa, sb = _worst_pair_cell(table)
-    if cell < -1e-12:
-        return Witness(kind="pair_negativity",
-                       detail={"first_axis": i, "second_axis": jdx,
-                               "first_sign": int(sa), "second_sign": int(sb)},
-                       value=float(cell), bound=0.0)
-    return None
+def _glued_distribution(table: CorrelatorTable) -> np.ndarray:
+    """A joint distribution q(a0, a1, b0, b1) for a table inside the local
+    polytope, glued from the triangles (a0, a1, b0) and (a0, a1, b1).
+
+    Triangle j's cells are q_j(x, y, z) = (base_j + xyz t_j)/8 with
+    base_j = 1 + x ma0 + y ma1 + z mb_j + xy c + xz E_0j + yz E_1j, where
+    c = <a0 a1> and t_j = <a0 a1 b_j> are free.  Some t_j keeps all 8 cells
+    nonnegative exactly when every cell with xyz = +1 and every cell with
+    xyz = -1 have a base sum >= 0; those 16 sums are affine in c and bound
+    it.  c and then each t_j are taken at the middle of their ranges (Fine's
+    theorem makes c's range non-empty), and the two triangles are glued
+    along their common (a0, a1) marginal p: q = q_0 q_1 / p, 0 where p = 0.
+    """
+    x, y, z = _outcome_signs(3).T
+    plus = x * y * z > 0
+    ma, mb, e = table.marginals_a, table.marginals_b, table.correlators
+    fixed = [1.0 + x * ma[0] + y * ma[1] + z * mb[j] + x * z * e[0, j] + y * z * e[1, j]
+             for j in range(2)]
+    slope = (x * y)[plus][:, None] + (x * y)[~plus][None, :]
+    sums = [f[plus][:, None] + f[~plus][None, :] for f in fixed]
+    lower = max(float(np.max(-s[slope > 0])) for s in sums) / 2.0
+    upper = min(float(np.min(s[slope < 0])) for s in sums) / 2.0
+    c = 0.5 * (lower + upper)
+    q = []
+    for f in fixed:
+        base = f + x * y * c
+        t = 0.5 * (np.max(-base[plus]) + np.min(base[~plus]))
+        q.append(np.clip(base + x * y * z * t, 0.0, None).reshape(2, 2, 2) / 8.0)
+    p = q[0].sum(axis=2)[:, :, None, None]
+    joint = q[0][:, :, :, None] * q[1][:, :, None, :]
+    return np.divide(joint, p, out=np.zeros_like(joint), where=p > 0.0)
 
 
 def joint_distribution_feasible(table: CorrelatorTable, tol: float = 1e-9) -> FeasibilityResult:
     """Does any probability distribution over all four +/-1 observables match
     the table?  Returns the distribution or the violated inequality.
 
-    A distribution exists exactly when the 8 CHSH variants lie within
-    [-2, 2] and the 16 pair cells are nonnegative (Fine's theorem).  Every
-    call cross-checks the solver against these facets: a returned
-    distribution with a facet violated by more than tol raises, and so does,
-    at zero marginals (where the pair cells cannot go negative), a refusal
-    while all CHSH variants hold within tol.
+    Fine's theorem decides: a distribution exists exactly when the 8 CHSH
+    variants lie within [-2, 2] and the 16 pair cells are nonnegative, here
+    within tol.  A feasible table gets the distribution glued from two
+    triangles (one of many that match the table); it must reproduce the
+    table to 10 tol, else the internal cross-check raises.
     """
-    x = _nonnegative_solution(*_feasibility_system(table), tol)
-    variants = chsh_variants(table)
-    worst_signs, worst_value = max(variants, key=lambda sv: abs(sv[1]))
-    facets_hold = min(2.0 - abs(worst_value), _worst_pair_cell(table)[0]) >= -tol
-    zero_marginals = not (np.any(table.marginals_a) or np.any(table.marginals_b))
-    if (x is not None and not facets_hold) or (x is None and facets_hold and zero_marginals):
-        raise ValidationError(
-            "internal cross-check failed: the basis solution and the facet "
-            "inequalities disagree")
-    if x is not None:
-        return FeasibilityResult(feasible=True,
-                                 distribution=x.reshape(2, 2, 2, 2),
-                                 witness=None)
-    if abs(worst_value) > 2.0:
+    worst_signs, worst_value = max(chsh_variants(table), key=lambda sv: abs(sv[1]))
+    cell, i, jdx, sa, sb = _worst_pair_cell(table)
+    if abs(worst_value) - 2.0 > tol:
         witness = Witness(kind="chsh", detail={"signs": tuple(worst_signs)},
                           value=float(abs(worst_value)), bound=2.0)
+    elif cell < -tol:
+        witness = Witness(kind="pair_negativity",
+                          detail={"first_axis": i, "second_axis": jdx,
+                                  "first_sign": int(sa), "second_sign": int(sb)},
+                          value=float(cell), bound=0.0)
     else:
-        witness = _pair_negativity(table)
-        if witness is None:
-            raise ValidationError(
-                "infeasible table with no CHSH or pair-negativity witness; "
-                "cross-validation failed")
+        q = _glued_distribution(table)
+        a_mat, b_vec = _feasibility_system(table)
+        if not np.max(np.abs(a_mat @ q.ravel() - b_vec)) <= 10 * tol:
+            raise ValidationError("internal cross-check failed: the glued distribution "
+                                  "does not reproduce the table")
+        return FeasibilityResult(feasible=True, distribution=q, witness=None)
     return FeasibilityResult(feasible=False, distribution=None, witness=witness)

@@ -75,8 +75,14 @@ class ConstraintSet:
                 for b in range(a, k):
                     g = np.real(np.vdot(vs[a], vs[b]))
                     gram[a, b] = gram[b, a] = g
-            eigs = np.linalg.eigvalsh(gram)
-            if eigs[0] < _GRAM_RTOL * max(eigs[-1], 1e-300):
+            # the correlation matrix, so that no observable's scale decides;
+            # a zero observable is dependent
+            scale = np.sqrt(np.diag(gram))
+            dependent = scale.min() <= 0.0
+            if not dependent:
+                eigs = np.linalg.eigvalsh(gram / np.outer(scale, scale))
+                dependent = eigs[0] < _GRAM_RTOL * eigs[-1]
+            if dependent:
                 raise ValidationError("constraint observables are linearly dependent")
 
 
@@ -491,11 +497,12 @@ class PointerModel:
         if gaps and self.window > min(gaps) / 3.0 + 1e-12:
             raise ValidationError("window too wide for the outcome spacing")
         for i, (a_i, r_i) in enumerate(zip(self.outcomes, r)):
-            mean = float(np.dot(r_i.real, a))
+            # sums of products, not BLAS dots; the variance is centered
+            with np.errstate(under="ignore"):
+                mean = float((r_i * a).sum())
+                sdev = float(np.sqrt((r_i * (a - mean) ** 2).sum()))
             if abs(mean - a_i) > self.window:
                 raise ValidationError(f"pointer mean for outcome {i} drifts past the window")
-            second = float(np.dot(r_i.real, a * a))
-            sdev = float(np.sqrt(max(0.0, second - mean**2)))
             if sdev > self.window / 3.0 + 1e-9:
                 raise ValidationError(f"pointer fluctuation too large for outcome {i}")
 
@@ -543,11 +550,12 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         total = w.sum()
         if total <= 0:
             raise ValidationError("empty magnetization window; increase delta")
-        # sums of products, not BLAS dots, whose last digits follow the thread count
+        # sums of products, not BLAS dots, whose last digits follow the thread
+        # count; a centered variance, as E[M^2] - E[M]^2 cancels 7 digits at N = 1e6
         with np.errstate(under="ignore"):
             mean = float((w * mz).sum() / total)
-            var = float((w * mz**2).sum() / total - mean**2)
-            return mask, w / total, mean, np.sqrt(max(var, 0.0))
+            var = float((w * (mz - mean) ** 2).sum() / total)
+            return mask, w / total, mean, np.sqrt(var)
 
     if delta is None:
         half = gap / 3.0

@@ -224,6 +224,18 @@ def _selftest_feasible():
     res = contextuality.joint_distribution_feasible(vertex)
     _check(res.feasible and np.array_equal(res.distribution.ravel(), np.eye(16)[6]),
            "a deterministic table must return its own vertex")
+    # moments of a strictly positive joint: nonzero marginals, strictly inside
+    inner = contextuality.CorrelatorTable(
+        np.array([[-0.451917657447296, 0.1253192321045533],
+                  [-0.14012006189081957, 0.43709122600856243]]),
+        np.array([-0.12530641049228353, -0.43710404991622376]),
+        np.array([-0.422774384657617, -0.9999870116425157]))
+    res = contextuality.joint_distribution_feasible(inner)
+    _check(res.feasible, "a table strictly inside the local polytope must be feasible")
+    q = res.distribution.ravel()
+    a_mat, b_vec = contextuality._feasibility_system(inner)
+    _check(q.min() >= 0.0 and np.max(np.abs(a_mat @ q - b_vec)) <= 1e-12,
+           "a table with marginals must get a nonnegative distribution that reproduces it")
     singlet_table = contextuality.table_from_state(contextuality.singlet_state())
     res2 = contextuality.joint_distribution_feasible(singlet_table)
     _check(not res2.feasible and res2.witness.kind == "chsh",

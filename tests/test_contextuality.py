@@ -247,32 +247,17 @@ class TestFeasibility:
                 assert res.witness.value == pytest.approx(cell, abs=1e-12)
         assert decided >= 495
 
-    def test_solver_failure_is_not_a_verdict(self, monkeypatch):
-        # a refusal on a table every facet admits must raise, not report
-        # infeasibility
-        monkeypatch.setattr(ctx, "_nonnegative_solution", lambda *args, **kwargs: None)
-        with pytest.raises(ValidationError, match="cross-check"):
-            ctx.joint_distribution_feasible(ctx.CorrelatorTable(np.zeros((2, 2))))
-
-    def test_distribution_against_a_facet_is_not_a_verdict(self, monkeypatch):
-        # a table with marginals whose (z, u) pair cell is -1/2: a solver that
-        # still returns a distribution must trip the facet cross-check
-        corr = np.zeros((2, 2))
-        corr[0, 0] = -1.0
-        table = ctx.CorrelatorTable(corr, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        monkeypatch.setattr(ctx, "_nonnegative_solution",
-                            lambda *args, **kwargs: np.full(16, 1.0 / 16))
+    def test_construction_that_misses_the_table_raises(self, monkeypatch):
+        # the facets admit the pinned table; a construction whose distribution
+        # does not reproduce it must trip the cross-check, not be returned
+        corr = np.array([[-0.451917657447296, 0.1253192321045533],
+                         [-0.14012006189081957, 0.43709122600856243]])
+        table = ctx.CorrelatorTable(corr, np.array([-0.12530641049228353, -0.43710404991622376]),
+                                    np.array([-0.422774384657617, -0.9999870116425157]))
+        monkeypatch.setattr(ctx, "_glued_distribution",
+                            lambda table: np.full((2, 2, 2, 2), 1.0 / 16))
         with pytest.raises(ValidationError, match="cross-check"):
             ctx.joint_distribution_feasible(table)
-
-    def test_basis_table_is_exact_and_well_conditioned(self):
-        cols, inverses = ctx._basis_table()
-        assert cols.shape == (4096, 9) and inverses.shape == (4096, 9, 9)
-        assert len({tuple(c) for c in cols}) == 4096
-        blocks = ctx._feasibility_matrix()[:, cols].transpose(1, 0, 2)
-        assert np.all(np.abs(np.abs(np.linalg.det(blocks)) - 4096.0) <= 1e-6)
-        assert np.max(np.linalg.cond(blocks)) <= 6.0
-        assert np.array_equal(inverses @ blocks, np.broadcast_to(np.eye(9), blocks.shape))
 
     def test_deterministic_tables_return_their_vertex(self):
         for k, (sa0, sa1, sb0, sb1) in enumerate(_SIGNS):

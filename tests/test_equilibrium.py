@@ -191,6 +191,19 @@ class TestMaxEntDiagonal:
             eq.ConstraintSet(observables=(Observable(diagonal=m), Observable(diagonal=2 * m)),
                              targets=(0.0, 0.0))
 
+    def test_dependence_test_is_scale_invariant(self):
+        # the raw Gram matrix of the reduced M_z and its square spans 12 decades
+        m = eq.reduced_magnet_operators(10**6, 1.0, 0.8)[1].diagonal
+        cs = eq.ConstraintSet(observables=(Observable(diagonal=m), Observable(diagonal=m**2)),
+                              targets=(0.0, 1.0))
+        assert cs.dim == 10**6 + 1
+        dependent = [(Observable(diagonal=m), Observable(diagonal=2 * m)),
+                     (Observable(diagonal=m), Observable(diagonal=np.zeros_like(m))),
+                     (Observable(SIGMA_Z), Observable(2.0 * SIGMA_Z))]
+        for pair in dependent:
+            with pytest.raises(ValidationError, match="linearly dependent"):
+                eq.ConstraintSet(observables=pair, targets=(0.0, 0.0))
+
 
 class TestGibbsWithSource:
     def test_infinite_temperature_limit(self, rng):
@@ -457,6 +470,21 @@ class TestPointerModel:
         eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True, max_iter=3)
         with pytest.raises(ConvergenceError, match="pointer window"):
             eq.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True, max_iter=1)
+
+    def test_window_is_three_centered_deviations(self):
+        # reference: the centered second moment of the same weights, in fsum
+        n = 10**6
+        pointer = eq.build_curie_weiss_pointer(n, 1.0, 0.5, reduced=True)
+        h_m, m_obs = eq.reduced_magnet_operators(n, 1.0, 0.5)
+        mz, energies = m_obs.diagonal, h_m.diagonal
+        weights = np.exp(-(energies - energies.min()) / 0.5)
+        for a in pointer.outcomes:
+            mask = np.abs(mz - a) <= pointer.window
+            w, m = weights[mask].tolist(), mz[mask].tolist()
+            total = math.fsum(w)
+            mean = math.fsum(wk * mk for wk, mk in zip(w, m)) / total
+            var = math.fsum(wk * (mk - mean) ** 2 for wk, mk in zip(w, m)) / total
+            assert pointer.window == pytest.approx(3.0 * math.sqrt(var), rel=1e-13)
 
 
 def toy_pointer(projs=((1, 1, 0, 0), (0, 0, 1, 1)), states=None):
