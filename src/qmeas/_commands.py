@@ -395,12 +395,7 @@ def _cmd_dispersionless(args) -> dict:
     pops = np.asarray(_parse_floats(args.populations, name="populations"))
     state = DensityOperator(np.diag(pops.astype(np.complex128)))
     fam = ambiguity.dispersionless_family(state, rank_tol=args.rank_tol)
-    variances = []
-    for obs in fam.basis:
-        a = obs.matrix
-        mean = float(np.real(np.trace(state.matrix @ a)))
-        second = float(np.real(np.trace(state.matrix @ (a @ a))))
-        variances.append(second - mean * mean)
+    variances = [ambiguity.q_mean_variance(state, obs)[1] for obs in fam.basis]
     return {
         "dim": int(pops.size),
         "rank": fam.rank,

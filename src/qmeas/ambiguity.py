@@ -95,8 +95,9 @@ def chord_decomposition(v, direction) -> ChordDecomposition:
     big = float(np.max(np.abs(d)))
     if big == 0.0:
         raise ValidationError("direction must be nonzero")
-    # underflow below is rounding: tiny components of v, d, v1 or v2 go to 0
-    with np.errstate(under="ignore"):
+    # underflow below is rounding: tiny components of v, d, v1 or v2 go to 0;
+    # a norm of v past the double range is inf, and refused
+    with np.errstate(under="ignore", over="ignore"):
         # scaling by a power of two is exact, so d / |d| keeps its bits, and
         # the norm of a tiny direction stays out of the subnormal range
         d = np.ldexp(d, -math.frexp(big)[1])
@@ -173,22 +174,27 @@ def reassemble_embedding(embedded: EmbeddedQubit) -> np.ndarray:
     return out
 
 
-def is_dispersionless(state: DensityOperator, obs: Observable, tol: float = RANK_TOL) -> bool:
-    """True iff the q-variance of obs on state is at most tol.
+def q_mean_variance(state: DensityOperator, obs: Observable) -> tuple[float, float]:
+    """The q-expectation tr(rho A) and the q-variance tr(rho A^2) - tr(rho A)^2."""
+    a = np.asarray(obs.matrix)
+    mean = float(np.real(np.trace(state.matrix @ a)))
+    second = float(np.real(np.trace(state.matrix @ (a @ a))))
+    return mean, second - mean * mean
+
+
+def is_dispersionless(state: DensityOperator, obs: Observable) -> bool:
+    """True iff the q-variance of obs on state is at most RANK_TOL.
 
     When true, the state is also checked to be confined to the eigenspace of
     the certain value (a consistency failure raises).
     """
     if state.matrix.shape != obs.matrix.shape:
         raise ValidationError("state and observable dimensions disagree")
-    a = np.asarray(obs.matrix)
-    mean = float(np.real(np.trace(state.matrix @ a)))
-    second = float(np.real(np.trace(state.matrix @ (a @ a))))
-    variance = second - mean * mean
-    if variance > tol:
+    mean, variance = q_mean_variance(state, obs)
+    if variance > RANK_TOL:
         return False
-    vals, vecs = np.linalg.eigh(a)
-    sel = np.abs(vals - mean) <= np.sqrt(max(tol, 0.0)) + 1e-8 * (1.0 + abs(mean))
+    vals, vecs = np.linalg.eigh(np.asarray(obs.matrix))
+    sel = np.abs(vals - mean) <= math.sqrt(RANK_TOL) + 1e-8 * (1.0 + abs(mean))
     proj = vecs[:, sel] @ vecs[:, sel].conj().T
     pinched = proj @ state.matrix @ proj
     if np.max(np.abs(pinched - state.matrix)) > 1e-8:

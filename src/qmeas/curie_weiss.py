@@ -49,6 +49,8 @@ _SERIES_K = len(_LOGCOS)
 _SERIES_TOL = 1e-16
 # couplings per power-sum block: a few cache-resident buffers, not N-sized ones
 _POWER_BLOCK = 1 << 16
+_GRID_POINTS = 400  # default_time_grid: points on [0, 4 tau]
+_WINDOW_POINTS = 121  # and in each recurrence window
 
 
 @dataclass(frozen=True)
@@ -343,15 +345,13 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     return corr_x, corr_y
 
 
-def default_time_grid(model: CurieWeissModel, nu_max: int = 0, points: int = 400,
-                      window_points: int = 121) -> np.ndarray:
-    """[0, 4 tau] densely, plus windows t_nu +/- 3 tau when nu_max >= 1."""
-    if points < 2 or window_points < 2:
-        raise ValidationError("grids need at least two points")
+def default_time_grid(model: CurieWeissModel, nu_max: int = 0) -> np.ndarray:
+    """[0, 4 tau] at _GRID_POINTS points, plus windows t_nu +/- 3 tau of
+    _WINDOW_POINTS points each when nu_max >= 1."""
     tau = truncation_time(model)
-    pieces = [np.linspace(0.0, 4.0 * tau, points)]
+    pieces = [np.linspace(0.0, 4.0 * tau, _GRID_POINTS)]
     for nu in range(1, int(nu_max) + 1):
         t_nu = nu * np.pi / (2.0 * model.g)
         lo = max(0.0, t_nu - 3.0 * tau)
-        pieces.append(np.linspace(lo, t_nu + 3.0 * tau, window_points))
+        pieces.append(np.linspace(lo, t_nu + 3.0 * tau, _WINDOW_POINTS))
     return np.unique(np.concatenate(pieces))

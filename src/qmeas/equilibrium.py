@@ -22,6 +22,8 @@ from .qstate import (DensityOperator, Observable, diagonal_or_none, qexpect,
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
+_MAXENT_TOL = 1e-10  # largest constraint residual of a solved maxent state
+_MAXENT_MAX_ITER = 100  # Newton steps before the solve gives up
 # float64 2^N vectors alive at the peak: 13.3 in the pointer build, 15 with
 # its s_z joint state and entropy (tracemalloc, N = 16..20); the byte budget
 # refuses the full pointer from N = 23
@@ -92,7 +94,6 @@ class MaxEntSolution:
 
     state: DensityOperator
     gamma: float
-    beta: float | None
     multipliers: np.ndarray
     residuals: np.ndarray
     iterations: int
@@ -116,8 +117,7 @@ def _kubo_weights(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(near, 0.5 * (p[:, None] + p[None, :]), dp / np.where(near, 1.0, da))
 
 
-def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
-                 max_iter: int = 100) -> MaxEntSolution:
+def maxent_state(constraints: ConstraintSet) -> MaxEntSolution:
     """Maximize von Neumann entropy subject to expectation constraints.
 
     Solves the smooth convex dual psi(lambda) = ln Z + lambda.c by damped
@@ -180,9 +180,10 @@ def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
     psi, it = pt[1], 0
     ex, hess = moments(pt) if k else (np.zeros(0), None)
     grad = c - ex
-    while k and float(np.max(np.abs(grad))) > tol:
-        if it >= max_iter:
-            raise ConvergenceError(f"maxent solver: no convergence in {max_iter} iterations")
+    while k and float(np.max(np.abs(grad))) > _MAXENT_TOL:
+        if it >= _MAXENT_MAX_ITER:
+            raise ConvergenceError(
+                f"maxent solver: no convergence in {_MAXENT_MAX_ITER} iterations")
         if float(np.max(np.abs(lam))) > _MULTIPLIER_CAP:
             raise InfeasibleError("maxent targets infeasible: multipliers diverge")
         hess = 0.5 * (hess + hess.T)
@@ -203,7 +204,7 @@ def maxent_state(constraints: ConstraintSet, tol: float = 1e-10,
         ex, hess = moments(pt)
         grad = c - ex
         it += 1
-    return MaxEntSolution(state=state(pt), gamma=float(pt[1]), beta=beta, multipliers=lam,
+    return MaxEntSolution(state=state(pt), gamma=float(pt[1]), multipliers=lam,
                           residuals=np.abs(grad), iterations=it)
 
 
@@ -328,7 +329,6 @@ class PointerLimitResult:
     scales: np.ndarray
     values: np.ndarray
     extrapolated: float
-    state: DensityOperator
     converged: bool
     message: str
 
@@ -358,20 +358,19 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     if scales.size > 1 and np.ptp(scales) > 0 and not np.all(np.diff(scales) < 0):
         raise ValidationError("scales must be strictly decreasing (or all equal)")
     values = []
-    state = None
     for s in scales:
         total = Observable(diagonal=d_h + s * d_src)
         state = maxent_state(ConstraintSet(temperature=temperature, hamiltonian=total)).state
         values.append(qexpect(state, pointer_obs))
     values = np.asarray(values)
     if scales.size == 1 or np.ptp(scales) == 0:
-        return PointerLimitResult(scales, values, float(values[-1]), state, True,
+        return PointerLimitResult(scales, values, float(values[-1]), True,
                                   "single scale, no extrapolation")
     d = np.diff(values)
     noise = 1e-12 * (1.0 + float(np.max(np.abs(values))))
     sig = np.abs(d) > noise
     if not np.any(sig):
-        return PointerLimitResult(scales, values, float(values[-1]), state, True,
+        return PointerLimitResult(scales, values, float(values[-1]), True,
                                   "sequence already flat")
     ds = d[sig]
     if not np.all(np.isfinite(values)):
@@ -379,17 +378,17 @@ def pointer_limit(h_m: Observable, source: Observable, temperature: float,
     if np.any(ds[:-1] * ds[1:] < 0):
         raise ConvergenceError("pointer limit: oscillatory tr(R^h A) sequence")
     if ds.size < 2:
-        return PointerLimitResult(scales, values, float(values[-1]), state, True,
+        return PointerLimitResult(scales, values, float(values[-1]), True,
                                   "two usable scales; reporting the last value")
     r = ds[-1] / ds[-2]
     if r >= 10.0:
         raise ConvergenceError("pointer limit: diverging tr(R^h A) sequence")
     if r < 1.0:
         extrap = float(values[-1] + ds[-1] * r / (1.0 - r))
-        return PointerLimitResult(scales, values, extrap, state, True,
+        return PointerLimitResult(scales, values, extrap, True,
                                   "geometric extrapolation, ratio %.3g" % r)
     return PointerLimitResult(
-        scales, values, float(values[-1]), state, False,
+        scales, values, float(values[-1]), False,
         "increments still growing at the smallest scale (ratio %.3g); "
         "finite-size failure of the weak-source limit, reporting the last value" % r)
 
@@ -508,18 +507,18 @@ class PointerModel:
 
 
 def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
-                              source_strength: float | None = None,
-                              delta: float | None = None,
                               reduced: bool = False,
                               max_iter: int = 16) -> PointerModel:
     """Pointer model for the Curie-Weiss magnet below T_C.
 
     Pointer states are Gibbs states restricted to magnetization windows
     [A_i - delta, A_i + delta] (the strict weak-source limit is ill-defined
-    at small N); by default delta is the fixed point of delta = 3 * q-stddev.
-    reduced=True works in the (N+1)-dim magnetization representation.  Every
-    operator is kept as its diagonal; the full 2^N representation is refused
-    past a byte guard on those vectors (about N = 22).
+    at small N), where delta is the fixed point of delta = 3 * q-stddev.
+    The sourced states carry the source 1.5 h*, h* = g_threshold, which
+    leaves no wrong-sign minimum.  reduced=True works in the (N+1)-dim
+    magnetization representation.  Every operator is kept as its diagonal;
+    the full 2^N representation is refused past a byte guard on those
+    vectors (about N = 22).
     """
     _check_jt(j, temperature)
     if temperature >= j:
@@ -528,10 +527,9 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         h_m, m_obs = reduced_magnet_operators(n_spins, j, temperature)
     else:
         h_m, m_obs = magnet_operators(n_spins, j)
-    if source_strength is None:
-        source_strength = 1.5 * g_threshold(j, temperature)
+    source_strength = 1.5 * g_threshold(j, temperature)
     # the Gibbs exponents reach (J N/2 + |h| N)/T
-    if not math.isfinite((_coupling_peak(n_spins, j) + abs(source_strength) * n_spins)
+    if not math.isfinite((_coupling_peak(n_spins, j) + source_strength * n_spins)
                          / temperature):
         raise ValidationError(f"(J N/2 + |h| N)/T must be finite: J = {j!r}, h = "
                               f"{source_strength!r}, N = {n_spins} and T = {temperature!r} "
@@ -549,7 +547,7 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
         w = weights * mask
         total = w.sum()
         if total <= 0:
-            raise ValidationError("empty magnetization window; increase delta")
+            raise ValidationError("empty magnetization window")
         # sums of products, not BLAS dots, whose last digits follow the thread
         # count; a centered variance, as E[M^2] - E[M]^2 cancels 7 digits at N = 1e6
         with np.errstate(under="ignore"):
@@ -557,20 +555,17 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
             var = float((w * (mz - mean) ** 2).sum() / total)
             return mask, w / total, mean, np.sqrt(var)
 
-    if delta is None:
-        half = gap / 3.0
-        for _ in range(max_iter):
-            sdevs = [window_stats(a, half)[3] for a in outcomes]
-            new_half = 3.0 * max(max(sdevs), 1e-12)
-            if abs(new_half - half) <= 1e-9 * max(1.0, half):
-                half = new_half
-                break
+    half = gap / 3.0
+    for _ in range(max_iter):
+        sdevs = [window_stats(a, half)[3] for a in outcomes]
+        new_half = 3.0 * max(max(sdevs), 1e-12)
+        if abs(new_half - half) <= 1e-9 * max(1.0, half):
             half = new_half
-        else:
-            raise ConvergenceError(
-                f"pointer window: delta = 3 * q-stddev not converged in {max_iter} iterations")
+            break
+        half = new_half
     else:
-        half = float(delta)
+        raise ConvergenceError(
+            f"pointer window: delta = 3 * q-stddev not converged in {max_iter} iterations")
     projs, states = [], []
     for a in outcomes:
         mask, probs, _, _ = window_stats(a, half)

@@ -52,6 +52,8 @@ _TRACE_TOL = 1e-12
 # below N = 13 a grid's temporaries stay near 0.5 MB whatever its length
 # (tracemalloc, N = 10, with the invariant and three cascade subsets)
 _TILE = 1 << 13
+_APPC_DEVIATION_TOL = 1e-12  # appendix_c_grid: largest deviation of an intact invariant
+_APPC_MAX_K = 3  # and the largest cascade order it records
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,12 @@ class AppendixCReport:
     pair resolves the apparent irreversibility of the dephasing stage.
     """
 
-    n_spins: int
     times: np.ndarray
     invariant_deviation: np.ndarray
     invariant_ok: bool
     sx: np.ndarray
     correlators: dict
     no_macroscopic_limit: bool
-    message: str
 
 
 def guard_spins(n_spins: int) -> None:
@@ -203,29 +203,22 @@ def joint_state(model: CurieWeissModel, t: float) -> DensityOperator:
     return DensityOperator(joint.reshape(2 * dim, 2 * dim), subsystem_dims=(2, dim))
 
 
-def appendix_c_grid(model: CurieWeissModel, times, deviation_tol: float = 1e-12,
-                    max_k: int = 3) -> AppendixCReport:
-    """Check R R^dagger = I/2^(2N) at each time of the grid while recording
-    the decay of s_x and of the cascade correlators over the first k = 1 ..
-    max_k magnet spins."""
+def appendix_c_grid(model: CurieWeissModel, times) -> AppendixCReport:
+    """Check R R^dagger = I/2^(2N) to _APPC_DEVIATION_TOL at each time of the
+    grid while recording the decay of s_x and of the cascade correlators over
+    the first k = 1 .. _APPC_MAX_K magnet spins."""
     if model.r0.matrix[0, 1] == 0:
         raise ValidationError("appendix_c_grid needs a transverse initial "
                               "component (r0 off-diagonal)")
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    prefixes = [tuple(range(k)) for k in range(1, min(max_k, model.N) + 1)]
+    prefixes = [tuple(range(k)) for k in range(1, min(_APPC_MAX_K, model.N) + 1)]
     obs = grid_expectations(model, times, prefixes, invariant=True)
     devs = obs["invariant_deviation"]
-    small = model.N == 1
-    msg = "invariant holds to %.1e at %d times" % (float(devs.max(initial=0.0)), times.size)
-    if small:
-        msg += "; N=1: single cosine, no macroscopic limit"
     return AppendixCReport(
-        n_spins=model.N,
         times=times,
         invariant_deviation=devs,
-        invariant_ok=bool(np.all(devs <= deviation_tol)),
+        invariant_ok=bool(np.all(devs <= _APPC_DEVIATION_TOL)),
         sx=obs["sx"],
         correlators={len(s): xy[0] for s, xy in obs["cascade"].items()},
-        no_macroscopic_limit=small,
-        message=msg,
+        no_macroscopic_limit=model.N == 1,
     )

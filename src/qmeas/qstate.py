@@ -210,8 +210,12 @@ def pure_state(amplitudes: Sequence[complex], subsystem_dims: tuple = ()) -> Den
 def bloch_state(v) -> DensityOperator:
     """Qubit state (I + v . sigma)/2 from a Bloch vector with |v| <= 1."""
     v = np.asarray(v, dtype=float).reshape(3)
-    if np.linalg.norm(v) > 1.0 + 1e-12:
-        raise ValidationError(f"Bloch vector norm {np.linalg.norm(v)} exceeds 1")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"Bloch vector {v.tolist()} must be finite")
+    with np.errstate(over="ignore"):  # a norm past the double range is inf, and refused
+        norm = np.linalg.norm(v)
+    if norm > 1.0 + 1e-12:
+        raise ValidationError(f"Bloch vector norm {norm} exceeds 1")
     m = 0.5 * (np.eye(2, dtype=complex)
                + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
     return DensityOperator(m)

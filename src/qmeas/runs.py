@@ -24,6 +24,9 @@ from .qstate import (
 )
 
 _PROJ_TOL = 1e-12
+_DEGENERACY_TOL = 1e-9  # eigenvalues this close are one outcome
+_LEAK_TOL = 1e-8  # subensemble weight allowed outside its window
+_FACTOR_TOL = 1e-8  # trace distance allowed from r_i (x) R_i
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,11 @@ class TestedObservable:
         return Observable(mat)
 
     @classmethod
-    def from_observable(cls, obs: Observable, degeneracy_tol: float = 1e-9):
+    def from_observable(cls, obs: Observable):
         vals, vecs = np.linalg.eigh(obs.matrix)
         groups: list[list[int]] = [[0]]
         for i in range(1, vals.size):
-            if vals[i] - vals[groups[-1][0]] <= degeneracy_tol:
+            if vals[i] - vals[groups[-1][0]] <= _DEGENERACY_TOL:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -229,13 +232,12 @@ def frequency_report(split: EnsembleSplit) -> dict:
             "any_flagged": any(flagged), "any_failed": any(failed)}
 
 
-def subensemble_state(d_tf: DensityOperator, pointer, i: int,
-                      leak_tol: float = 1e-8, factor_tol: float = 1e-8) -> OutcomeBranch:
+def subensemble_state(d_tf: DensityOperator, pointer, i: int) -> OutcomeBranch:
     """Extract the outcome-i subensemble via the pointer window projector.
 
     Checks that the joint state does not leak across windows, renormalizes
     (I (x) Pi_i) D (I (x) Pi_i), and verifies the extracted state factors as
-    r_i (x) R_i within factor_tol in trace distance.  The windows are
+    r_i (x) R_i within _FACTOR_TOL in trace distance.  The windows are
     diagonal, so every product scales entries of D: a joint state in diagonal
     storage is worked on as its diagonal, and the subensemble and r_i come
     back in diagonal storage.
@@ -261,7 +263,7 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
         leaks = (windows[i] * d * w for jdx, w in enumerate(windows) if jdx != i)
         sub = windows[i] * d * windows[i]
         p = float(sub.sum())
-    if any(np.max(np.abs(leak)) > leak_tol for leak in leaks):
+    if any(np.max(np.abs(leak)) > _LEAK_TOL for leak in leaks):
         raise ValidationError("joint state leaks across pointer windows")
     if p <= 1e-14:
         raise ValidationError(f"outcome {i} has zero weight in the joint state")
@@ -271,7 +273,7 @@ def subensemble_state(d_tf: DensityOperator, pointer, i: int,
         delta = DensityOperator(diagonal=sub / p, subsystem_dims=d_tf.subsystem_dims)
     r_i = partial_trace(delta, keep=(0,))
     expected = tensor(r_i, pointer.pointer_states[i])
-    if trace_distance(delta, expected) > factor_tol:
+    if trace_distance(delta, expected) > _FACTOR_TOL:
         raise ValidationError("subensemble does not factor into system x pointer")
     return OutcomeBranch(index=i, p=p, r=r_i, delta=delta)
 

@@ -193,12 +193,13 @@ class TestDispersionless:
         assert amb.is_dispersionless(r0, obs)
 
     def test_inconsistent_inputs_raise(self):
-        # variance fits under a loose tol while a far eigenvalue still
-        # carries weight: the confinement cross-check must catch it
-        r0 = DensityOperator(np.diag([5e-5, 1.0 - 5e-5]).astype(complex))
-        obs = Observable(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(ValidationError):
-            amb.is_dispersionless(r0, obs, tol=1e-4)
+        # the variance, 1e-14, fits under RANK_TOL while the eigenvalue 1e-4,
+        # outside the sqrt(RANK_TOL) window of the mean, still carries weight
+        # 1e-6: the confinement cross-check must catch it
+        r0 = DensityOperator(np.diag([1e-6, 1.0 - 1e-6]).astype(complex))
+        obs = Observable(np.diag([1e-4, 0.0]).astype(complex))
+        with pytest.raises(ValidationError, match="confinement"):
+            amb.is_dispersionless(r0, obs)
 
 
 class TestDispersionlessFamily:

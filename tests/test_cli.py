@@ -474,7 +474,7 @@ class TestParser:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about 0.3 s to import; only the commands that solve load it
+    # scipy costs about 0.3 s to import; no command loads it
     code = ("import sys\n"
             "from qmeas import cli\n"
             "try:\n"
@@ -588,8 +588,8 @@ def test_registration_leaves_scipy_unloaded(argv):
 
 
 def test_feasible_leaves_scipy_unloaded():
-    # the basis solver needs numpy only: feasible, infeasible (CHSH) and
-    # with-marginals tables in one interpreter
+    # the closed-form feasibility test needs numpy only: feasible,
+    # infeasible (CHSH) and with-marginals tables in one interpreter
     tables = [["--correlators=0.5,0.5,0.5,-0.5"],
               ["--correlators=0.9,0.9,0.9,-0.9"],
               ["--correlators=0.3,0.3,0.3,0.3", "--marginals-a=0.1,0", "--marginals-b=0,-0.2"]]

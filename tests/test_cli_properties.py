@@ -2,6 +2,8 @@
 import contextlib
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,6 +37,22 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run_clean(argv):
+    """Exit code and parsed JSON (None on exit 2) of one in-process run that
+    warns nothing, exits 0 with finite JSON and an empty stderr, or exits 2
+    with one stderr line and no stdout."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("qmeas: ")
+        return code, None
+    assert err == ""
+    return code, json.loads(out, parse_constant=_refuse_constant)
 
 
 @settings(max_examples=300)
@@ -80,3 +98,90 @@ def test_feasible_verdict_follows_the_facets(corr, ma, mb, spoil):
         assert witness["kind"] in ("chsh", "pair_negativity")
         want = chsh if witness["kind"] == "chsh" else cell
         assert abs(witness["value"] - want) <= 1e-12
+
+
+# vector components: the values that broke CLI commands before (non-finite,
+# overflowing, subnormal, signed zero, just past the unit bound) and the range
+# around the unit ball
+component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, _BOUND, math.nan, math.inf, -math.inf,
+                     1e308, 1e-320]),
+    st.floats(-1.2, 1.2))
+vector = st.lists(component, min_size=3, max_size=3)
+_NAMED = {"+x": (1.0, 0.0, 0.0), "-x": (-1.0, 0.0, 0.0), "+y": (0.0, 1.0, 0.0),
+          "-y": (0.0, -1.0, 0.0), "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0)}
+
+
+def _csv(v):
+    return ",".join(map(repr, v))
+
+
+def _norm(v):
+    # as the program forms it: inf past the double range
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
+@settings(max_examples=150)
+@given(r0=st.one_of(st.sampled_from(sorted(_NAMED)), vector),
+       mode=st.sampled_from(["luders", "von-neumann", "unread"]), outcome=st.integers(-2, 3))
+def test_reduce_exits_clean(r0, mode, outcome):
+    v = _NAMED[r0] if isinstance(r0, str) else tuple(r0)
+    argv = ["reduce", "--r0=" + (r0 if isinstance(r0, str) else _csv(r0)),
+            f"--mode={mode}", f"--outcome={outcome}"]
+    code, data = _run_clean(argv)
+    if not all(math.isfinite(x) for x in v) or _norm(v) > _BOUND or (
+            mode != "unread" and outcome not in (0, 1)):
+        assert code == 2
+        return
+    sign = 1.0 if outcome == 0 else -1.0
+    weight = 0.5 * (1.0 + sign * v[2])
+    if mode == "luders" and weight <= 1e-12:
+        # a branch of zero weight is refused; within rounding of zero either way
+        assert code == 2 or weight > 0.0
+        return
+    assert code == 0
+    bloch = np.array(data["bloch"])
+    if mode == "unread":
+        assert np.max(np.abs(bloch - [0.0, 0.0, v[2]])) <= 1e-12
+        assert data["loss"] >= -1e-12 and data["gain"] >= -1e-12
+        return
+    assert data["outcome"] == outcome
+    assert np.max(np.abs(bloch - [0.0, 0.0, sign])) <= 1e-9
+    if mode == "luders":
+        assert abs(data["p"] - weight) <= 1e-12
+    else:
+        assert abs(data["entropy"]) <= 1e-12
+
+
+# a second direction parallel to the first: scaled by these factors, zero included
+parallel = st.sampled_from([1.0, -1.0, 2.0, -0.5, 1e-300, 1e300, 0.0])
+
+
+@settings(max_examples=150)
+@given(v=vector, d1=vector, d2=st.one_of(vector, parallel))
+def test_ambiguity_exits_clean(v, d1, d2):
+    if not isinstance(d2, list):
+        d2 = [d2 * x for x in d1]
+    code, data = _run_clean(["ambiguity", "--v=" + _csv(v), "--d1=" + _csv(d1),
+                             "--d2=" + _csv(d2)])
+    arrays = [np.array(x) for x in (v, d1, d2)]
+    if (not all(np.isfinite(a).all() for a in arrays)
+            or _norm(v) >= 1.0 - 1e-12
+            or not arrays[1].any() or not arrays[2].any()):
+        assert code == 2
+        return
+    scaled = [d / np.max(np.abs(d)) for d in arrays[1:]]
+    cross = float(np.linalg.norm(np.cross(*[s / np.linalg.norm(s) for s in scaled])))
+    if cross <= 1e-9:
+        # parallel, up to rounding in the unit directions
+        assert code == 2 or cross > 1e-13
+        return
+    assert code == 0
+    for chord in (data["first"], data["second"]):
+        v1, v2 = np.array(chord["v1"]), np.array(chord["v2"])
+        assert abs(np.linalg.norm(v1) - 1.0) <= 1e-12 and abs(np.linalg.norm(v2) - 1.0) <= 1e-12
+        assert 0.0 <= chord["rho1"] <= 1.0 and abs(chord["rho1"] + chord["rho2"] - 1.0) <= 1e-12
+        assert np.max(np.abs(chord["rho1"] * v1 + chord["rho2"] * v2 - arrays[0])) <= 1e-9
+    overlaps = np.array(data["overlaps"])
+    assert overlaps.shape == (4, 4) and np.all((overlaps >= -1e-12) & (overlaps <= 1.0 + 1e-12))

@@ -279,7 +279,7 @@ class TestFeasibility:
         for got, want in zip(_moments(q), (corr, np.zeros(2), np.zeros(2))):
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_tight_tolerance_stays_within_highs_range(self):
+    def test_tight_tolerance_feasible_without_warning(self):
         table = ctx.CorrelatorTable(np.full((2, 2), 0.3), np.array([0.1, 0.0]),
                                     np.array([0.0, -0.2]))
         with warnings.catch_warnings():

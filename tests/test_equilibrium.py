@@ -54,6 +54,16 @@ class TestMaxEnt:
         sol = eq.maxent_state(eq.ConstraintSet(observables=(h,), targets=(target,)))
         assert sol.multipliers[0] == pytest.approx(1.0, abs=1e-8)
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a diagonal energy target that takes several Newton steps: it is
+        # met under the real cap, and a cap of one step refuses it
+        cs = eq.ConstraintSet(observables=(Observable(diagonal=np.array([0.0, 1.0])),),
+                              targets=(0.05,))
+        assert eq.maxent_state(cs).iterations > 1
+        monkeypatch.setattr(eq, "_MAXENT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="no convergence in 1 iterations"):
+            eq.maxent_state(cs)
+
     def test_random_instances_solved(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 17))
