@@ -300,19 +300,25 @@ def _cmd_finalstate(args) -> dict:
     from . import equilibrium, runs
     from .qstate import bloch_state, vn_entropy
 
-    pointer = equilibrium.build_curie_weiss_pointer(args.N, args.J, args.T,
-                                                    reduced=args.reduced)
+    # the sector pointer in either case: the full 2^N output is derived from it
+    pointer = equilibrium.build_curie_weiss_pointer(args.N, args.J, args.T, reduced=True)
+    if not args.reduced:
+        equilibrium.guard_full_representation(args.N)
     tested = runs.sz_observable()
     r0 = bloch_state(_parse_bloch(args.r0))
     joint = equilibrium.final_joint_state(r0, tested, pointer)
     p = runs.born_weights(r0, tested)
+    if args.reduced:
+        entropy, magnet_dim = vn_entropy(joint), args.N + 1
+    else:
+        entropy, magnet_dim = equilibrium.full_representation_summary(joint)
     return {
         "outcomes": list(pointer.outcomes),
         "p": list(p),
         "window": pointer.window,
-        "entropy": vn_entropy(joint),
+        "entropy": entropy,
         "log_partition_consts": list(pointer.log_partition_consts),
-        "magnet_dim": pointer.pointer_states[0].dim,
+        "magnet_dim": magnet_dim,
     }
 
 
@@ -550,7 +556,7 @@ def _args_finalstate(p):
     p.add_argument("--T", type=float, default=0.5)
     p.add_argument("--r0", default="+x")
     p.add_argument("--reduced", action="store_true",
-                   help="use the magnetization-sector representation")
+                   help="report the (N+1)-sector representation")
 
 
 def _args_born(p):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError, guard_bytes
 from .qstate import (DensityOperator, Observable, diagonal_or_none, qexpect,
-                     weighted_magnetization_diag)
+                     vn_entropy, weighted_magnetization_diag)
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
@@ -26,7 +26,8 @@ _MAXENT_TOL = 1e-10  # largest constraint residual of a solved maxent state
 _MAXENT_MAX_ITER = 100  # Newton steps before the solve gives up
 # float64 2^N vectors alive at the peak: 13.3 in the pointer build, 15 with
 # its s_z joint state and entropy (tracemalloc, N = 16..20); the byte budget
-# refuses the full pointer from N = 23
+# refuses the full pointer from N = 23, and the full representation derived
+# from the sectors at the same sizes
 _FULL_VECTORS = 16
 
 
@@ -399,13 +400,30 @@ def _coupling_peak(n_spins: int, j: float) -> float:
     return abs(j) / (2.0 * n_spins) * float(n_spins) ** 2
 
 
+def guard_full_representation(n_spins: int) -> None:
+    """Refuse the full 2^N representation past the byte budget on its vectors."""
+    guard_bytes(_FULL_VECTORS * 8 * 2**n_spins, "full-representation pointer's 2^N vectors",
+                "use reduced=True")
+
+
+def log_degeneracies(n_spins: int) -> np.ndarray:
+    """ln C(N, k) for k = 0..N, the log-degeneracy of the M_z = N - 2k sector.
+
+    Computed for k <= N/2 and mirrored, so that sectors k and N-k (M and -M)
+    get bit-identical values.
+    """
+    lg_n = math.lgamma(n_spins + 1)
+    half = [lg_n - math.lgamma(k + 1) - math.lgamma(n_spins - k + 1)
+            for k in range(n_spins // 2 + 1)]
+    return np.array(half + half[:n_spins - n_spins // 2][::-1])
+
+
 def magnet_operators(n_spins: int, j: float) -> tuple[Observable, Observable]:
     """H_M = -(J/2N) M_z^2 and M_z on the full 2^N magnet space, stored as
     their diagonals; sizes past the full pointer's byte guard are refused."""
     if n_spins < 1:
         raise ValidationError("need at least one spin")
-    guard_bytes(_FULL_VECTORS * 8 * 2**n_spins, "full-representation pointer's 2^N vectors",
-                "use reduced=True")
+    guard_full_representation(n_spins)
     if not math.isfinite(_coupling_peak(n_spins, j)):
         raise ValidationError(f"J N/2 must be finite: J = {j!r} and N = {n_spins} "
                               f"overflow the magnet energies")
@@ -428,17 +446,13 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
         raise ValidationError("J must be finite")
     if not math.isfinite(temperature) or temperature <= 0:
         raise ValidationError("temperature must be finite and positive")
-    # ln C(N, k) for k <= N/2, mirrored so that sectors k and N-k (M and -M)
-    # get bit-identical energies
-    lg_n = math.lgamma(n_spins + 1)
-    half = [lg_n - math.lgamma(k + 1) - math.lgamma(n_spins - k + 1)
-            for k in range(n_spins // 2 + 1)]
+    log_deg = log_degeneracies(n_spins)
     # |H| <= |J| N/2 + T ln C(N, N/2)
-    if not math.isfinite(_coupling_peak(n_spins, j) + temperature * half[-1]):
+    if not math.isfinite(_coupling_peak(n_spins, j)
+                         + temperature * float(log_deg[n_spins // 2])):
         raise ValidationError(f"J N/2 + T ln C(N, N/2) must be finite: J = {j!r}, "
                               f"N = {n_spins} and T = {temperature!r} overflow the "
                               f"magnet energies")
-    log_deg = np.array(half + half[:n_spins - n_spins // 2][::-1])
     m = (n_spins - 2 * np.arange(n_spins + 1)).astype(np.float64)
     h = -(j / (2.0 * n_spins)) * m**2 - temperature * log_deg
     return Observable(diagonal=h), Observable(diagonal=m)
@@ -516,9 +530,11 @@ def build_curie_weiss_pointer(n_spins: int, j: float, temperature: float,
     at small N), where delta is the fixed point of delta = 3 * q-stddev.
     The sourced states carry the source 1.5 h*, h* = g_threshold, which
     leaves no wrong-sign minimum.  reduced=True works in the (N+1)-dim
-    magnetization representation.  Every operator is kept as its diagonal;
-    the full 2^N representation is refused past a byte guard on those
-    vectors (about N = 22).
+    magnetization representation, which every CLI run builds (the full
+    output follows from it by full_representation_summary).  Every operator
+    is kept as its diagonal; the full 2^N representation, kept as the
+    reference the tests compare against, is refused past a byte guard on
+    those vectors (from N = 23).
     """
     _check_jt(j, temperature)
     if temperature >= j:
@@ -604,3 +620,19 @@ def final_joint_state(r0: DensityOperator, tested, pointer: PointerModel) -> Den
             with np.errstate(under="ignore"):  # subnormal products are rounding
                 out += np.kron(d.real, diagonal_or_none(r_m).real)
     return DensityOperator(diagonal=out, subsystem_dims=dims)
+
+
+def full_representation_summary(joint: DensityOperator) -> tuple[float, int]:
+    """von Neumann entropy and magnet dimension 2^N of a registered joint
+    state in the full 2^N magnet representation, derived from its
+    (N+1)-sector form (final_joint_state on a reduced=True pointer).
+
+    A full pointer state is a function of M_z alone, uniform over the
+    C(N, k) basis states of sector k, so the full entropy is the sector
+    entropy plus the mean log-degeneracy sum_i p_i sum_k R_i[k] ln C(N, k).
+    """
+    n_spins = joint.subsystem_dims[1] - 1
+    q = joint.diagonal.real.reshape(joint.subsystem_dims)
+    with np.errstate(under="ignore"):  # subnormal products are rounding
+        degeneracy = float((q * log_degeneracies(n_spins)).sum())
+    return vn_entropy(joint) + degeneracy, 2**n_spins

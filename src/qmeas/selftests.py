@@ -100,7 +100,7 @@ def _selftest_finalstate():
     import numpy as np
 
     from . import equilibrium, runs
-    from .qstate import bloch_state, tensor, trace_distance
+    from .qstate import bloch_state, tensor, trace_distance, vn_entropy
 
     pointer = equilibrium.build_curie_weiss_pointer(8, 1.0, 0.5, reduced=True)
     tested = runs.sz_observable()
@@ -110,7 +110,7 @@ def _selftest_finalstate():
     _check(trace_distance(joint, expected) <= 1e-12,
            "an s_z eigenstate must pass into its own pointer state")
     p = runs.born_weights(bloch_state((1, 0, 0)), tested)
-    _check(np.allclose(p, [0.5, 0.5], atol=1e-15), "+x must split 1/2, 1/2")
+    _check(np.allclose(p, [0.5, 0.5], rtol=0, atol=1e-15), "+x must split 1/2, 1/2")
     full = equilibrium.build_curie_weiss_pointer(8, 1.0, 0.5)
     _check(abs(full.window - pointer.window) <= 1e-9 * pointer.window
            and np.allclose(full.outcomes, pointer.outcomes, rtol=1e-12, atol=0.0)
@@ -122,6 +122,13 @@ def _selftest_finalstate():
     marginal = [full.pointer_states[0].diagonal[full_m == m].sum() for m in red_m]
     _check(np.allclose(marginal, pointer.pointer_states[0].diagonal, rtol=0.0, atol=1e-13),
            "the full pointer's M_z marginal must be the reduced pointer state")
+    # the full output derived from the sectors, against the 2^N joint state
+    r0 = bloch_state((0.3, 0.2, 0.6))
+    entropy, magnet_dim = equilibrium.full_representation_summary(
+        equilibrium.final_joint_state(r0, tested, pointer))
+    _check(abs(entropy - vn_entropy(equilibrium.final_joint_state(r0, tested, full))) <= 1e-12
+           and magnet_dim == 256,
+           "the entropy derived from the sectors must be the 2^N joint state's, on 256 states")
 
 
 def _selftest_born():
@@ -134,7 +141,8 @@ def _selftest_born():
     split = runs.sample_runs([1.0, 0.0], 100, 3)
     _check(split.counts == (100, 0), "p = (1, 0) must send every run to outcome 0")
     p = runs.born_weights(bloch_state((0, 0, 0.6)), tested)
-    _check(np.allclose(p, [0.8, 0.2], atol=1e-15), "r0 = 0.6 z must give Born weights (0.8, 0.2)")
+    _check(np.allclose(p, [0.8, 0.2], rtol=0, atol=1e-15),
+           "r0 = 0.6 z must give Born weights (0.8, 0.2)")
     again = runs.sample_runs([0.5, 0.5], 1000, 7)
     _check(again.counts == runs.sample_runs([0.5, 0.5], 1000, 7).counts,
            "a fixed seed must reproduce its counts")
@@ -152,7 +160,7 @@ def _selftest_reduce():
     _check(trace_distance(b.r, bloch_state((0, 0, 1))) <= 1e-12,
            "the Luders branch of +x must be +z")
     pinched = runs.unread_reduction(bloch_state((0.3, 0.4, 0.5)), tested)
-    _check(np.allclose(bloch_vector(pinched), [0, 0, 0.5], atol=1e-14),
+    _check(np.allclose(bloch_vector(pinched), [0, 0, 0.5], rtol=0, atol=1e-14),
            "the unread pinch must keep only the z component")
     mixed = runs.unread_reduction(plus_x, tested)
     _check(abs(vn_entropy(mixed) - np.log(2.0)) <= 1e-12, "pinching +x must give entropy ln 2")
@@ -164,7 +172,8 @@ def _selftest_ambiguity():
     from . import ambiguity
 
     dec = ambiguity.chord_decomposition((0, 0, 0), (0, 0, 1))
-    _check(np.allclose(dec.v1, [0, 0, 1]) and np.allclose(dec.v2, [0, 0, -1]),
+    _check(np.allclose(dec.v1, [0, 0, 1], rtol=0, atol=1e-15)
+           and np.allclose(dec.v2, [0, 0, -1], rtol=0, atol=1e-15),
            "the z chord must end at the poles")
     _check(abs(dec.rho1 - 0.5) <= 1e-15, "the centre must split the z chord evenly")
     try:
@@ -251,7 +260,8 @@ def _selftest_oracle_check():
     # equal couplings g = 1 at N = 2 and r0 = +x: F(t) = s_x(t) = cos(2t)^2
     model = curie_weiss.build_model(2, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
     joint = oracle.joint_state(model, 0.0)
-    _check(np.allclose(joint.matrix, np.kron(model.r0.matrix, np.eye(4) / 4.0), atol=1e-15),
+    _check(np.allclose(joint.matrix, np.kron(model.r0.matrix, np.eye(4) / 4.0),
+                       rtol=0, atol=1e-15),
            "the initial joint state must be r0 (x) I/4")
     times = np.array([0.0, 0.3, 0.7])
     obs = oracle.grid_expectations(model, times)

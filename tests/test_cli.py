@@ -212,6 +212,32 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qmeas: guard:") and "dense oracle" in err
 
+    def test_full_finalstate_size_guard_maps_to_3(self, capsys):
+        # the 2^N output is refused from N = 23, the full pointer's own limit,
+        # although only the N + 1 sectors are built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "finalstate", "--N", "23")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err == ("qmeas: guard: full-representation pointer's 2^N vectors would "
+                       "need ~1.1 GB, past the 1 GB budget; use reduced=True\n")
+        assert peak < 4 * 2**23  # half of one float64 2^N vector
+
+    @pytest.mark.parametrize("subset, message", [
+        ("0,3,4", "exactly k indices"), ("0,12", "out of range"), ("0,x", "bad index list"),
+    ], ids=["too-many", "out-of-range", "not-an-integer"])
+    def test_bad_cascade_subset_maps_to_2(self, capsys, subset, message):
+        code, out, err = run_cli(capsys, "cascade", "--N", "10", "--k", "2",
+                                 "--subset", subset, "--points", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config:") and message in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [("--nu-max", "100000000"),
                                       ("--nu-max", "1000", "--seeds", "10000000")],
                              ids=["nu-max", "seeds"])
@@ -301,6 +327,25 @@ class TestSelftests:
                 return {k: v + 1e-9 for k, v in observables(*args, **kwargs).items()}
 
             monkeypatch.setattr(oracle, "_observables", shifted)
+        code, out, err = run_cli(capsys, command, "--selftest")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"selftest {command}: FAIL")
+
+    @pytest.mark.parametrize("command", ["finalstate", "born"])
+    def test_selftests_see_a_fault(self, capsys, monkeypatch, command):
+        # finalstate: every ln C(N, k) scaled by 1 + 1e-6; born: the Born
+        # weights moved by +-1e-6, inside numpy's default rtol of 1e-5
+        if command == "finalstate":
+            log_degeneracies = equilibrium.log_degeneracies
+            monkeypatch.setattr(equilibrium, "log_degeneracies",
+                                lambda n: log_degeneracies(n) * (1.0 + 1e-6))
+        else:
+            from qmeas import runs
+
+            born_weights = runs.born_weights
+            monkeypatch.setattr(runs, "born_weights",
+                                lambda *a: born_weights(*a) + np.array([1e-6, -1e-6]))
         code, out, err = run_cli(capsys, command, "--selftest")
         assert code == 1
         assert out == ""
@@ -401,6 +446,44 @@ class TestOutputs:
                 assert float(text) == value, key
             else:
                 assert text == str(value), key
+
+    def test_cascade_subset_matches_the_layer(self, capsys):
+        code, out, _ = run_cli(capsys, "cascade", "--N", "10", "--k", "2",
+                               "--subset", "0,3", "--points", "3", "--format", "json")
+        assert code == 0
+        from qmeas.qstate import bloch_state
+
+        model = curie_weiss.build_model(10, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
+        grid = np.linspace(0.0, 4.0 * curie_weiss.truncation_time(model), 3)
+        cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), grid)
+        assert json.loads(out)["rows"] == [list(r) for r in zip(grid.tolist(), cx.tolist(),
+                                                                cy.tolist())]
+
+    def test_full_finalstate_builds_no_full_pointer(self, capsys, monkeypatch):
+        def no_full(*args, **kwargs):
+            raise AssertionError("the 2^N magnet operators were built")
+
+        monkeypatch.setattr(equilibrium, "magnet_operators", no_full)
+        code, out, _ = run_cli(capsys, "finalstate", "--N", "10")
+        assert code == 0
+        assert json.loads(out)["magnet_dim"] == 2**10
+
+    @pytest.mark.parametrize("n", [10, 16, 20])
+    def test_full_finalstate_matches_the_full_pointer(self, capsys, n):
+        from qmeas import runs
+        from qmeas.qstate import bloch_state, vn_entropy
+
+        code, out, _ = run_cli(capsys, "finalstate", "--N", str(n), "--r0", "0.3,0.2,0.6")
+        assert code == 0
+        data = json.loads(out)
+        full = equilibrium.build_curie_weiss_pointer(n, 1.0, 0.5)
+        joint = equilibrium.final_joint_state(bloch_state((0.3, 0.2, 0.6)),
+                                              runs.sz_observable(), full)
+        assert data["outcomes"] == list(full.outcomes)
+        assert data["log_partition_consts"] == list(full.log_partition_consts)
+        assert abs(data["window"] - full.window) <= 1e-12 * full.window
+        assert abs(data["entropy"] - vn_entropy(joint)) <= 1e-12
+        assert data["magnet_dim"] == 2**n
 
     def test_oracle_check_passes_past_twelve_spins(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--N", "16", "--delta-g-rel", "0.1",
