@@ -448,11 +448,11 @@ class TestOutputs:
                 assert text == str(value), key
 
     def test_cascade_subset_matches_the_layer(self, capsys):
+        from qmeas.qstate import bloch_state
+
         code, out, _ = run_cli(capsys, "cascade", "--N", "10", "--k", "2",
                                "--subset", "0,3", "--points", "3", "--format", "json")
         assert code == 0
-        from qmeas.qstate import bloch_state
-
         model = curie_weiss.build_model(10, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
         grid = np.linspace(0.0, 4.0 * curie_weiss.truncation_time(model), 3)
         cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), grid)
