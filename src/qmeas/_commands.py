@@ -6,6 +6,9 @@ compile it nor build any command's parser, and a run builds the parser of
 its own command alone.  Each body imports numpy and the layers it runs
 inside the function, so a command loads only its own layers, and calls them
 through their module attributes (curie_weiss.build_model).
+
+A --config file's settings reach a command as option tokens ahead of argv
+(parse), so one argparse parser checks types and choices for both sources.
 """
 import argparse
 import math
@@ -19,58 +22,6 @@ _NAMED_BLOCH = {
     "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0),
     "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0),
 }
-
-
-class ExperimentConfig:
-    """Command name plus sectioned key = value settings; INI round-trips.
-
-    configparser is imported by the two INI methods, so only a run that
-    reads or writes a config file loads it.
-    """
-
-    def __init__(self, command: str, sections: dict | None = None):
-        self.command = command
-        self.sections = {} if sections is None else sections
-
-    def to_ini(self) -> str:
-        import configparser
-        import io
-
-        cp = configparser.ConfigParser()
-        cp["run"] = {"command": self.command}
-        for name, kv in self.sections.items():
-            cp[name] = {k: str(v) for k, v in kv.items()}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def from_ini(cls, text: str) -> "ExperimentConfig":
-        import configparser
-
-        cp = configparser.ConfigParser()
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ValidationError(f"bad config file: {exc}") from exc
-        command = cp.get("run", "command", fallback="")
-        sections = {}
-        for name in cp.sections():
-            if name == "run":
-                continue
-            sections[name] = dict(cp[name])
-        return cls(command=command, sections=sections)
-
-    def flat(self) -> dict:
-        out = {}
-        for kv in self.sections.values():
-            out.update(kv)
-        return out
-
-
-def _max_workers() -> int:
-    # the kernel runs on one thread; perfbench/probe.py records this value
-    return 1
 
 
 def _parse_bloch(spec: str) -> tuple[float, float, float]:
@@ -92,6 +43,8 @@ def _parse_floats(spec: str, count: int | None = None, name: str = "value") -> l
         vals = [float(p) for p in spec.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad {name} list: {spec!r}") from exc
+    if count is None and not vals:
+        raise ValidationError(f"{name} needs at least one entry")
     if count is not None and len(vals) != count:
         raise ValidationError(f"{name} needs exactly {count} comma-separated entries")
     return vals
@@ -109,10 +62,7 @@ def _fmt(x: float) -> str:
 
 
 def _emit(args, payload: dict, default_format: str) -> None:
-    fmt = args.format or default_format
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown format {fmt!r}")
-    if fmt == "csv":
+    if (args.format or default_format) == "csv":
         text = _render_csv(payload)
     else:
         import json
@@ -140,8 +90,6 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 
@@ -618,6 +566,8 @@ _COMMANDS = {
 def configure(argv: list[str]) -> tuple[list[str], dict]:
     """argv, led by the command the --config file names when argv names
     none, and the file's key = value settings (empty without --config)."""
+    import configparser
+
     from .cli import names_config
 
     path = None
@@ -632,51 +582,50 @@ def configure(argv: list[str]) -> tuple[list[str], dict]:
             raise ValidationError("--config needs a path")
     if path is None:
         return argv, {}
+    cp = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_ini(fh.read())
-    except OSError as exc:
+            cp.read_string(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ValidationError(f"bad config file: {exc}") from exc
     named = not argv[0].startswith("-")
-    command = argv[0] if named else cfg.command
+    command = argv[0] if named else cp.get("run", "command", fallback="")
     if not command:
         raise ValidationError("config file must name a command when none is given")
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r} in config")
-    return (argv if named else [command] + argv), cfg.flat()
-
-
-def _config_defaults(parser: argparse.ArgumentParser, flat: dict) -> dict:
-    # configparser lowercases keys, so `N = 20` arrives as n: options match
-    # their dests case-insensitively (no command has two dests that differ
-    # only in case)
-    defaults = {}
-    for action in parser._actions:
-        key = action.dest.lower()
-        if key in flat:
-            raw = flat[key]
-            if action.type is not None:
-                try:
-                    defaults[action.dest] = action.type(raw)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"bad config value {action.dest} = {raw!r}") from exc
-            elif isinstance(action, argparse._StoreTrueAction):
-                defaults[action.dest] = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                defaults[action.dest] = raw
-    return defaults
+    settings = {}
+    for name in cp.sections():
+        if name != "run":
+            settings.update(cp[name])
+    return (argv if named else [command] + argv), settings
 
 
 def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
-    """The command's options from argv over the config file's settings, by
-    the command's own parser."""
+    """The command's options from the config file's settings and argv, by
+    the command's own parser.
+
+    Each setting becomes its option's token ahead of argv, so argparse
+    checks both alike and a flag in argv, parsed later, wins.  configparser
+    lowercases keys, so `N = 20` arrives as n: settings match option dests
+    case-insensitively (no command has two dests that differ only in case).
+    """
     parser = argparse.ArgumentParser(prog=f"qmeas {command}")
     _add_common(parser)
     _COMMANDS[command][0](parser)
-    if settings:
-        parser.set_defaults(**_config_defaults(parser, settings))
-    return parser.parse_args(argv)
+    tokens = []
+    for action in parser._actions:
+        raw = settings.get(action.dest.lower())
+        if raw is None or isinstance(action, argparse._HelpAction):
+            continue
+        option = action.option_strings[0]
+        if not isinstance(action, argparse._StoreTrueAction):
+            tokens.append(f"{option}={raw}")
+        elif raw.strip().lower() in ("1", "true", "yes", "on"):
+            tokens.append(option)
+    return parser.parse_args(tokens + argv)
 
 
 def run(command: str, args: argparse.Namespace, default_format: str) -> None:

@@ -4,7 +4,8 @@ Subcommands cover the full pipeline: truncation series (truncate, recur,
 cascade), registration thermodynamics (register, finalstate), run statistics
 (born, reduce), decomposition geometry (ambiguity, dispersionless), Bell-type
 checks (chsh, feasible), and dense-oracle verification (oracle-check,
-appc-report).  A config file supplies defaults; flags override it.  Every
+appc-report).  A --config file supplies settings, which the command's own
+parser checks exactly as it checks flags; flags override the file.  Every
 subcommand accepts --selftest to run its quick built-in checks.
 
 Exit codes: 0 success, 1 failed selftest check, 2 configuration error,
@@ -37,26 +38,16 @@ main keeps the threads it has.
 import argparse
 import atexit
 import gc
-import importlib
 import os
 import sys
 
 from . import __version__
 from .errors import GuardError, QmeasError, SelftestError, ValidationError
 
-_LAYERS = frozenset({"ambiguity", "contextuality", "curie_weiss", "equilibrium",
-                     "kernels", "oracle", "runs"})
-# names that moved to qmeas._commands and stay reachable from here
-_MOVED = frozenset({"ExperimentConfig", "_COMMANDS", "_fmt", "_max_workers", "_render_csv"})
 
-
-def __getattr__(name: str):
-    # cli.<layer> stays a valid name for the layer module, loaded on first use
-    if name in _LAYERS:
-        return importlib.import_module(f"{__package__}.{name}")
-    if name in _MOVED:
-        return getattr(importlib.import_module(f"{__package__}._commands"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _max_workers() -> int:
+    # the kernel runs on one thread; perfbench/probe.py records this value
+    return 1
 
 
 # name -> (one-line help, default output format)

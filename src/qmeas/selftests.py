@@ -38,6 +38,12 @@ def _selftest_truncate():
     direct = kernels.trig_product_direct(2.0 * spread.couplings, ts)
     _check(np.max(np.abs(curie_weiss.offdiag_factor(spread, ts) / direct - 1.0)) <= 1e-12,
            "the small-angle series for F must match the direct product to 1e-12")
+    # N = 2, equal couplings 0.7: F(t) = cos^2(1.4 t), so s_x(t) = s_x(0) F(t)
+    ts = np.array([0.0, 0.3, 0.9, 1.7])
+    pair = curie_weiss.build_model(2, 0.7, 0.0, 0, bloch_state((0.6, 0, 0)))
+    _check(np.allclose(curie_weiss.transverse_expectations(pair, ts).sx,
+                       0.6 * np.cos(1.4 * ts) ** 2, rtol=0, atol=1e-15),
+           "s_x must be 0.6 cos^2(1.4 t) at N = 2, g = 0.7")
 
 
 def _selftest_recur():
@@ -53,11 +59,19 @@ def _selftest_recur():
 
 
 def _selftest_cascade():
+    import numpy as np
+
     from . import curie_weiss
 
     model = curie_weiss.build_model(5, 1.0)
     cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), 0.0)
     _check(cx == 0.0 and cy == 0.0, "cascade correlators must vanish at t = 0")
+    # N = 2, equal couplings 0.7, r0 = +x, k = 1: (0, -sin(1.4 t) cos(1.4 t))
+    ts = np.array([0.0, 0.3, 0.9, 1.7])
+    cx, cy = curie_weiss.cascade_correlation(curie_weiss.build_model(2, 0.7), 1, (0,), ts)
+    _check(np.allclose(cx, 0.0, rtol=0, atol=1e-15)
+           and np.allclose(cy, -np.sin(1.4 * ts) * np.cos(1.4 * ts), rtol=0, atol=1e-15),
+           "the k = 1 correlators must be (0, -sin(1.4 t) cos(1.4 t)) at N = 2, g = 0.7")
     try:
         curie_weiss.cascade_correlation(model, 2, (0, 0), 0.1)
     except ValidationError:

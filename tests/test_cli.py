@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import functools
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmeas import cli, curie_weiss, equilibrium, oracle
+from qmeas import _commands, cli, contextuality, curie_weiss, equilibrium, oracle
 from qmeas.errors import ConvergenceError
 
 # subprocesses import the package from this checkout, installed or not
@@ -44,20 +45,59 @@ def flatten_json(obj, prefix=""):
 
 
 class TestConfig:
-    def test_ini_roundtrip(self):
-        cfg = cli.ExperimentConfig(
-            command="truncate",
-            sections={"model": {"n": "100", "g": "0.5"}, "grid": {"points": "7"}})
-        back = cli.ExperimentConfig.from_ini(cfg.to_ini())
-        assert back.command == "truncate"
-        assert back.sections == {"model": {"n": "100", "g": "0.5"},
-                                 "grid": {"points": "7"}}
-        assert back.flat() == {"n": "100", "g": "0.5", "points": "7"}
+    def test_config_sections_all_apply(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\ncommand = truncate\n[model]\nn = 100\n[grid]\npoints = 7\n")
+        code, out, _ = run_cli(capsys, "--config", str(path))
+        assert code == 0
+        assert len(strip_version_header(out).splitlines()) == 1 + 7
 
-    def test_bad_ini_rejected(self):
-        from qmeas.errors import ValidationError
-        with pytest.raises(ValidationError):
-            cli.ExperimentConfig.from_ini("not an ini file [ at all")
+    def test_bad_ini_rejected(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("not an ini file [ at all")
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config: bad config file")
+
+    def test_undecodable_config_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\ncommand = born\n[born]\nruns = 5\n\xff\n")
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qmeas: config: cannot read config")
+
+    def test_bad_config_choice_exits_2(self, capsys, tmp_path):
+        # a setting is checked by the command's parser, as the flag would be
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\ncommand = reduce\n[reduce]\nmode = bogus\n")
+        code = _exit_code(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--mode" in captured.err
+
+    def test_bad_config_format_exits_before_the_run(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model must not be built")
+
+        monkeypatch.setattr(curie_weiss, "build_model", refuse)
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\ncommand = truncate\n[out]\nformat = xml\n")
+        code = _exit_code(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--format" in captured.err
+
+    def test_config_value_may_start_with_a_dash(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\ncommand = truncate\n[model]\nN = 10\nr0 = -x\npoints = 3\n")
+        code, out, _ = run_cli(capsys, "--config", str(path))
+        assert code == 0
+        first = strip_version_header(out).splitlines()[1].split(",")
+        assert (first[0], first[1]) == ("0", "-1")
 
     def test_config_supplies_defaults(self, capsys, tmp_path):
         path = tmp_path / "run.ini"
@@ -88,7 +128,6 @@ class TestConfig:
 
     def test_no_command_has_dests_differing_only_in_case(self):
         # config keys reach the options case-insensitively
-        from qmeas import _commands
         for command, (add_options, _) in _commands._COMMANDS.items():
             parser = argparse.ArgumentParser()
             _commands._add_common(parser)
@@ -142,6 +181,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("qmeas: config:") and "finite" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("dispersionless", "--populations="), "populations"),
+        (("register", "--N", "10", "--scales="), "scales"),
+    ])
+    def test_empty_list_refused_by_name(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"qmeas: config: {name} needs at least one entry\n"
 
     @pytest.mark.parametrize("rank_tol", ["nan", "inf", "-1"])
     def test_bad_rank_tol_maps_to_2(self, capsys, rank_tol):
@@ -300,7 +349,7 @@ class TestSelftests:
         assert checked == {f.__name__ for f in selftests.SELFTESTS.values()}
 
     def test_failed_check_maps_to_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.contextuality, "chsh_value", lambda *a: 2.0)
+        monkeypatch.setattr(contextuality, "chsh_value", lambda *a: 2.0)
         code, out, err = run_cli(capsys, "chsh", "--selftest")
         assert code == 1
         assert out == ""
@@ -332,11 +381,25 @@ class TestSelftests:
         assert out == ""
         assert err.startswith(f"selftest {command}: FAIL")
 
-    @pytest.mark.parametrize("command", ["finalstate", "born"])
+    @pytest.mark.parametrize("command", ["finalstate", "born", "truncate", "cascade"])
     def test_selftests_see_a_fault(self, capsys, monkeypatch, command):
         # finalstate: every ln C(N, k) scaled by 1 + 1e-6; born: the Born
-        # weights moved by +-1e-6, inside numpy's default rtol of 1e-5
-        if command == "finalstate":
+        # weights moved by +-1e-6, inside numpy's default rtol of 1e-5;
+        # truncate: s_x and s_x(0) scaled by 1.1; cascade: both correlators
+        # scaled by 1.1
+        if command == "truncate":
+            transverse = curie_weiss.transverse_expectations
+
+            def scaled(*args):
+                res = transverse(*args)
+                return dataclasses.replace(res, sx=res.sx * 1.1, sx0=res.sx0 * 1.1)
+
+            monkeypatch.setattr(curie_weiss, "transverse_expectations", scaled)
+        elif command == "cascade":
+            cascade = curie_weiss.cascade_correlation
+            monkeypatch.setattr(curie_weiss, "cascade_correlation",
+                                lambda *a: tuple(c * 1.1 for c in cascade(*a)))
+        elif command == "finalstate":
             log_degeneracies = equilibrium.log_degeneracies
             monkeypatch.setattr(equilibrium, "log_degeneracies",
                                 lambda n: log_degeneracies(n) * (1.0 + 1e-6))
@@ -447,6 +510,36 @@ class TestOutputs:
             else:
                 assert text == str(value), key
 
+    def test_recur_rows_match_the_layer(self, capsys):
+        code, out, _ = run_cli(capsys, "recur", "--N", "1000", "--delta-g-rel", "0.05",
+                               "--nu-max", "3", "--seeds", "2", "--seed", "4")
+        assert code == 0
+        body = strip_version_header(out).splitlines()
+        assert body[0] == "seed,nu,t_nu,measured,predicted"
+        rows = [line.split(",") for line in body[1:]]
+        assert [row[0] for row in rows] == ["4", "4", "4", "5", "5", "5"]
+        for seed, chunk in ((4, rows[:3]), (5, rows[3:])):
+            p = curie_weiss.recurrence_profile(curie_weiss.build_model(1000, 1.0, 0.05, seed), 3)
+            for i, row in enumerate(chunk):
+                assert row[1:] == [_commands._fmt(x) for x in
+                                   (p.nu[i], p.time[i], p.measured[i], p.predicted[i])]
+
+    def test_appc_report_columns_match_the_oracle(self, capsys):
+        argv = ["--N", "6", "--delta-g-rel", "0.1", "--points", "9", "--seed", "2"]
+        code, out, _ = run_cli(capsys, "appc-report", *argv)
+        assert code == 0
+        body = strip_version_header(out).splitlines()
+        model, grid = _commands._model_and_grid(_commands.parse("appc-report", argv, {}))
+        rep = oracle.appendix_c_grid(model, grid)
+        series = {"t": rep.times, "invariant_deviation": rep.invariant_deviation,
+                  "sx": rep.sx}
+        series.update({f"cascade_{k}": v for k, v in sorted(rep.correlators.items())})
+        assert body[0] == ",".join(series)
+        columns = list(zip(*(line.split(",") for line in body[1:])))
+        assert len(columns[0]) == 9
+        for got, want in zip(columns, series.values(), strict=True):
+            assert list(got) == [_commands._fmt(x) for x in want]
+
     def test_cascade_subset_matches_the_layer(self, capsys):
         from qmeas.qstate import bloch_state
 
@@ -498,9 +591,10 @@ class TestOutputs:
         rows = [[0, np.int64(3), -0.0, np.float64(-0.0)],
                 [np.inf, -np.inf, np.float32(0.1), 1e300],
                 [5e-324, np.float64(1.0) / 3.0, 12345678901234567, True]]
-        text = cli._render_csv({"columns": ["a", "b", "c", "d"], "rows": rows})
+        text = _commands._render_csv({"columns": ["a", "b", "c", "d"], "rows": rows})
         body = strip_version_header(text).splitlines()
-        assert body == ["a,b,c,d"] + [",".join(cli._fmt(x) for x in row) for row in rows]
+        assert body == ["a,b,c,d"] + [",".join(_commands._fmt(x) for x in row)
+                                      for row in rows]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -697,7 +791,7 @@ def test_no_selftest_loads_scipy():
     # every subcommand's selftest exercises its solver path on numpy alone
     code = ("import contextlib, io, json, sys\n"
             "from qmeas import cli\n"
-            "for name in cli._COMMANDS:\n"
+            "for name in cli._CATALOG:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main([name, '--selftest']) == 0, name\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
