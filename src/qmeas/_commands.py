@@ -67,30 +67,13 @@ def _emit(args, payload: dict, default_format: str) -> None:
     else:
         import json
 
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        # numpy floats are floats to json; arrays, bools and ints take tolist
+        text = json.dumps(payload, indent=2, default=lambda obj: obj.tolist()) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _jsonable(obj):
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _render_csv(payload: dict) -> str:
@@ -103,18 +86,21 @@ def _render_csv(payload: dict) -> str:
         lines.extend([row_fmt % tuple(row) for row in payload["rows"]])
     else:
         lines.append("key,value")
-        for k, v in _flatten_for_csv(_jsonable(payload)):
+        for k, v in _flatten_for_csv(payload):
             lines.append(f"{k},{v}")
     return "\n".join(lines) + "\n"
 
 
 def _flatten_for_csv(obj, prefix=""):
-    """(key, text) pairs of a _jsonable tree; keys join the path with dots."""
+    """(key, text) pairs of a payload tree; keys join the path with dots.
+    A numpy leaf is read as its tolist() value."""
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
     items = []
     if isinstance(obj, dict):
         for k, v in obj.items():
             items.extend(_flatten_for_csv(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             items.extend(_flatten_for_csv(v, f"{prefix}{i}."))
     else:
@@ -172,8 +158,8 @@ def _cmd_truncate(args) -> dict:
 
 
 # bytes per recurrence peak alive when recur writes its output: its row and
-# its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5: 408-416 per
-# peak for CSV, 876-887 for JSON, past about 7 MB of imports)
+# its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5, past imports:
+# 403-406 per peak for CSV, 745-748 for JSON)
 _RECUR_PEAK_BYTES = 900
 
 
@@ -226,7 +212,7 @@ def _cmd_register(args) -> dict:
         "j": args.J,
         "temperature": args.T,
         "field": args.field,
-        "m": list(m) if isinstance(m, tuple) else m,
+        "m": m,
         "g_threshold": equilibrium.g_threshold(args.J, args.T),
     }
     if args.N:
@@ -235,8 +221,8 @@ def _cmd_register(args) -> dict:
         src = Observable(diagonal=-m_obs.diagonal)
         lim = equilibrium.pointer_limit(h_m, src, args.T, scales, m_obs)
         out["pointer_limit"] = {
-            "scales": list(lim.scales),
-            "values": list(lim.values),
+            "scales": lim.scales,
+            "values": lim.values,
             "extrapolated": lim.extrapolated,
             "converged": lim.converged,
             "message": lim.message,
@@ -261,11 +247,11 @@ def _cmd_finalstate(args) -> dict:
     else:
         entropy, magnet_dim = equilibrium.full_representation_summary(joint)
     return {
-        "outcomes": list(pointer.outcomes),
-        "p": list(p),
+        "outcomes": pointer.outcomes,
+        "p": p,
         "window": pointer.window,
         "entropy": entropy,
-        "log_partition_consts": list(pointer.log_partition_consts),
+        "log_partition_consts": pointer.log_partition_consts,
         "magnet_dim": magnet_dim,
     }
 
@@ -280,8 +266,8 @@ def _cmd_born(args) -> dict:
     split = runs.sample_runs(p, args.runs, args.seed)
     rep = runs.frequency_report(split)
     return {
-        "p": list(p),
-        "counts": list(split.counts),
+        "p": p,
+        "counts": split.counts,
         "total": split.total,
         "seed": split.seed,
         "z_scores": rep["z"],
@@ -301,7 +287,7 @@ def _cmd_reduce(args) -> dict:
         loss, gain = runs.info_balance(r0, tested)
         return {
             "mode": "unread",
-            "bloch": list(bloch_vector(state)),
+            "bloch": bloch_vector(state),
             "entropy": vn_entropy(state),
             "loss": loss,
             "gain": gain,
@@ -312,13 +298,13 @@ def _cmd_reduce(args) -> dict:
             "mode": "luders",
             "outcome": branch.index,
             "p": branch.p,
-            "bloch": list(bloch_vector(branch.r)),
+            "bloch": bloch_vector(branch.r),
         }
     branch = runs.von_neumann_branch(tested, args.outcome)
     return {
         "mode": "von-neumann",
         "outcome": branch.index,
-        "bloch": list(bloch_vector(branch.r)),
+        "bloch": bloch_vector(branch.r),
         "entropy": vn_entropy(branch.r),
     }
 
@@ -331,9 +317,9 @@ def _cmd_ambiguity(args) -> dict:
     d2 = _parse_floats(args.d2, 3, "d2")
     rep = ambiguity.ambiguity_witness(v, d1, d2)
     return {
-        "first": {"v1": list(rep.first.v1), "v2": list(rep.first.v2),
+        "first": {"v1": rep.first.v1, "v2": rep.first.v2,
                   "rho1": rep.first.rho1, "rho2": rep.first.rho2},
-        "second": {"v1": list(rep.second.v1), "v2": list(rep.second.v2),
+        "second": {"v1": rep.second.v1, "v2": rep.second.v2,
                    "rho1": rep.second.rho1, "rho2": rep.second.rho2},
         "overlaps": rep.overlaps,
         "contradiction": rep.contradiction,
@@ -351,7 +337,7 @@ def _cmd_dispersionless(args) -> dict:
     fam = ambiguity.dispersionless_family(state, rank_tol=args.rank_tol)
     variances = [ambiguity.q_mean_variance(state, obs)[1] for obs in fam.basis]
     return {
-        "dim": int(pops.size),
+        "dim": pops.size,
         "rank": fam.rank,
         "param_count": fam.param_count,
         "basis_size": len(fam.basis),
@@ -370,10 +356,10 @@ def _cmd_chsh(args) -> dict:
     return {
         "c": contextuality.chsh_value(state, z, x, u, v),
         "terms": {
-            "e_zu": float(table.correlators[0, 0]),
-            "e_zv": float(table.correlators[0, 1]),
-            "e_xu": float(table.correlators[1, 0]),
-            "e_xv": float(table.correlators[1, 1]),
+            "e_zu": table.correlators[0, 0],
+            "e_zv": table.correlators[0, 1],
+            "e_xu": table.correlators[1, 0],
+            "e_xv": table.correlators[1, 1],
         },
         "classical_bound": 2.0,
     }
@@ -397,8 +383,7 @@ def _cmd_feasible(args) -> dict:
             "kind": res.witness.kind,
             "value": res.witness.value,
             "bound": res.witness.bound,
-            "detail": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in res.witness.detail.items()},
+            "detail": res.witness.detail,
         }
     return out
 
@@ -415,7 +400,7 @@ def _cmd_oracle_check(args) -> dict:
     obs = oracle.grid_expectations(model, grid, subsets)
 
     def worst(*pairs) -> float:
-        return max(float(np.max(np.abs(got - want))) for got, want in pairs)
+        return max(np.max(np.abs(got - want)) for got, want in pairs)
 
     dev = {"f": worst((obs["f"], curie_weiss.offdiag_factor(model, grid))),
            "sx": worst((obs["sx"], res.sx)),
@@ -428,7 +413,7 @@ def _cmd_oracle_check(args) -> dict:
         "n": model.N,
         "points": len(grid),
         "max_abs_deviation": dev,
-        "pass_1e10": bool(max(dev.values()) <= 1e-10),
+        "pass_1e10": max(dev.values()) <= 1e-10,
     }
 
 
