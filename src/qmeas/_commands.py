@@ -9,6 +9,11 @@ through their module attributes (curie_weiss.build_model).
 
 A --config file's settings reach a command as option tokens ahead of argv
 (parse), so one argparse parser checks types and choices for both sources.
+
+A body returns the layers' values as they come, numpy arrays and scalars
+included, and _emit owns their conversion to text: json.dumps takes numpy
+floats as floats and the rest through a tolist() hook, and the CSV
+key/value flattener reads each numpy leaf through tolist().
 """
 import argparse
 import math
@@ -114,6 +119,13 @@ def _flatten_for_csv(obj, prefix=""):
     return items
 
 
+# bytes per grid point alive when a grid command writes its output: its row
+# and its text (tracemalloc at 1e4..4e4 points, past imports: appc-report
+# 985-991 for JSON and 650-659 for CSV, truncate 670-682 and 423-431,
+# cascade --k 3 532-543 and 333-340, oracle-check 278-280)
+_POINT_BYTES = 1000
+
+
 def _model_and_grid(args):
     """The model and time grid of truncate, cascade, oracle-check and
     appc-report; --points, --tmax-tau and the largest angle are checked
@@ -125,6 +137,8 @@ def _model_and_grid(args):
 
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
+    guard_bytes(_POINT_BYTES * args.points, "the time grid's points and their output",
+                "lower --points")
     if not (math.isfinite(args.tmax_tau) and args.tmax_tau > 0.0):
         raise ValidationError("--tmax-tau must be finite and positive")
     # the draw's N deviations have RMS delta_g_rel * g < g, so none exceeds
@@ -197,7 +211,7 @@ def _cmd_cascade(args) -> dict:
     from . import curie_weiss
 
     model, grid = _model_and_grid(args)
-    subset = _parse_ints(args.subset) if args.subset else list(range(args.k))
+    subset = _parse_ints(args.subset) if args.subset else range(args.k)
     cx, cy = curie_weiss.cascade_correlation(model, args.k, subset, grid)
     rows = list(zip(grid.tolist(), cx.tolist(), cy.tolist()))
     return {"columns": ["t", "corr_sx", "corr_sy"], "rows": rows}
@@ -348,8 +362,6 @@ def _cmd_dispersionless(args) -> dict:
 def _cmd_chsh(args) -> dict:
     from . import contextuality
 
-    if args.state != "singlet":
-        raise ValidationError("only --state singlet is defined")
     state = contextuality.singlet_state()
     z, x, u, v = contextuality.optimal_chsh_axes()
     table = contextuality.table_from_state(state)
@@ -515,10 +527,6 @@ def _args_dispersionless(p):
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
 
 
-def _args_chsh(p):
-    p.add_argument("--state", default="singlet")
-
-
 def _args_feasible(p):
     p.add_argument("--correlators", default="0,0,0,0", help="e_zu,e_zv,e_xu,e_xv")
     p.add_argument("--marginals-a", dest="marginals_a", default=None)
@@ -541,7 +549,7 @@ _COMMANDS = {
     "reduce": (_args_reduce, _cmd_reduce),
     "ambiguity": (_args_ambiguity, _cmd_ambiguity),
     "dispersionless": (_args_dispersionless, _cmd_dispersionless),
-    "chsh": (_args_chsh, _cmd_chsh),
+    "chsh": (lambda p: None, _cmd_chsh),
     "feasible": (_args_feasible, _cmd_feasible),
     "oracle-check": (_args_oracle, _cmd_oracle_check),
     "appc-report": (_args_oracle, _cmd_appc_report),
@@ -550,7 +558,8 @@ _COMMANDS = {
 
 def configure(argv: list[str]) -> tuple[list[str], dict]:
     """argv, led by the command the --config file names when argv names
-    none, and the file's key = value settings (empty without --config)."""
+    none, and the file's key = value settings; qmeas.cli calls it only when
+    a token names --config."""
     import configparser
 
     from .cli import names_config
@@ -565,8 +574,6 @@ def configure(argv: list[str]) -> tuple[list[str], dict]:
             path = argv[i + 1]
         else:
             raise ValidationError("--config needs a path")
-    if path is None:
-        return argv, {}
     cp = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:

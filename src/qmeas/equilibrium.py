@@ -29,6 +29,9 @@ _MAXENT_MAX_ITER = 100  # Newton steps before the solve gives up
 # refuses the full pointer from N = 23, and the full representation derived
 # from the sectors at the same sizes
 _FULL_VECTORS = 16
+# bytes per magnetization sector alive at the peak of a reduced run
+# (tracemalloc, N = 2e5..1e6: 120 for finalstate --reduced, 80 for register)
+_SECTOR_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -446,6 +449,7 @@ def reduced_magnet_operators(n_spins: int, j: float, temperature: float
         raise ValidationError("J must be finite")
     if not math.isfinite(temperature) or temperature <= 0:
         raise ValidationError("temperature must be finite and positive")
+    guard_bytes(_SECTOR_BYTES * (n_spins + 1), "the N + 1 magnetization sectors", "lower N")
     log_deg = log_degeneracies(n_spins)
     # |H| <= |J| N/2 + T ln C(N, N/2)
     if not math.isfinite(_coupling_peak(n_spins, j)

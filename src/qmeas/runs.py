@@ -27,6 +27,7 @@ _PROJ_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9  # eigenvalues this close are one outcome
 _LEAK_TOL = 1e-8  # subensemble weight allowed outside its window
 _FACTOR_TOL = 1e-8  # trace distance allowed from r_i (x) R_i
+_MAX_RUNS = 2**63 - 1  # the largest total the multinomial sampler takes
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,8 @@ def sample_runs(weights, total: int, seed: int = 0) -> EnsembleSplit:
     w = np.asarray(weights, dtype=np.float64)
     if total < 1:
         raise ValidationError("need at least one run")
+    if total > _MAX_RUNS:
+        raise ValidationError(f"at most 2^63 - 1 runs can be sampled, got {total}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if np.any(w < -1e-12):

@@ -90,6 +90,12 @@ def _selftest_register():
     _check(abs(equilibrium.meanfield_magnetization(1.0, 0.5, 50.0) - 1.0) < 1e-6,
            "a strong field must saturate m")
     _check(equilibrium.g_threshold(1.0, 1.2) == 0.0, "no threshold field above T_C")
+    # the printed m solves its own fixed-point equation, paired and with a field
+    m_f = equilibrium.meanfield_magnetization(1.0, 0.8)[1]
+    m_h = equilibrium.meanfield_magnetization(1.0, 0.8, 0.3)
+    _check(abs(m_f - np.tanh(m_f / 0.8)) <= 1e-15
+           and abs(m_h - np.tanh((m_h + 0.3) / 0.8)) <= 1e-15,
+           "m must solve m = tanh((m + h)/0.8) to 1e-15 at h = 0 and h = 0.3")
     grid = np.linspace(-0.9, 0.9, 7)
     f_plus = equilibrium.free_energy_profile(1.0, 0.8, 0.3, grid)
     f_mirror = equilibrium.free_energy_profile(1.0, 0.8, 0.3, -grid)
@@ -97,7 +103,13 @@ def _selftest_register():
            "F(m) - F(-m) must be -2 h m")
     # <M/N> = m_F on 9 sectors: on diagonals, and rotated by the DFT into dense operators
     h_m, m_obs = equilibrium.reduced_magnet_operators(8, 1.0, 0.8)
-    m_f = equilibrium.meanfield_magnetization(1.0, 0.8)[1]
+    # at one scale s the pointer limit is the Gibbs mean of M under H_M - s M
+    lim = equilibrium.pointer_limit(h_m, Observable(diagonal=-m_obs.diagonal), 0.8, [0.5],
+                                    m_obs)
+    w = np.exp(-(h_m.diagonal - 0.5 * m_obs.diagonal) / 0.8)
+    mean_m = (w * m_obs.diagonal).sum() / w.sum()
+    _check(abs(lim.values[0] - mean_m) <= 1e-12 * abs(mean_m),
+           "the pointer limit at scale 0.5 must be the Gibbs mean of M to 1e-12")
     u = np.exp(2j * np.pi * np.outer(np.arange(9), np.arange(9)) / 9) / 3.0
     sols = [equilibrium.maxent_state(equilibrium.ConstraintSet(
         observables=(op(m_obs.diagonal / 8),), targets=(m_f,), temperature=0.8,
@@ -130,6 +142,13 @@ def _selftest_finalstate():
            and np.allclose(full.outcomes, pointer.outcomes, rtol=1e-12, atol=0.0)
            and abs(full.log_partition_consts[0] - pointer.log_partition_consts[0]) <= 1e-12,
            "the full 2^N pointer must agree with the (N+1)-sector one")
+    # delta = 3 q-stddev: the window is 3 centred standard deviations of R_0
+    for ptr in (pointer, full):
+        r_0, a = ptr.pointer_states[0].diagonal, ptr.pointer_obs.diagonal
+        mean = (r_0 * a).sum()
+        _check(abs(3.0 * np.sqrt((r_0 * (a - mean) ** 2).sum()) - ptr.window)
+               <= 1e-12 * ptr.window,
+               "the window must be 3 q-standard deviations of its pointer state to 1e-12")
     # M_z marginal of the full pointer state: sum its diagonal over each sector
     full_m = full.pointer_obs.diagonal
     red_m = pointer.pointer_obs.diagonal
@@ -176,6 +195,9 @@ def _selftest_reduce():
     pinched = runs.unread_reduction(bloch_state((0.3, 0.4, 0.5)), tested)
     _check(np.allclose(bloch_vector(pinched), [0, 0, 0.5], rtol=0, atol=1e-14),
            "the unread pinch must keep only the z component")
+    # p_0 = (1 + z)/2 for r0 = (0.3, 0.4, 0.5)
+    _check(abs(runs.luders_branch(bloch_state((0.3, 0.4, 0.5)), tested, 0).p - 0.75) <= 1e-15,
+           "the Luders weight of z = 0.5 for outcome 0 must be 0.75 to 1e-15")
     mixed = runs.unread_reduction(plus_x, tested)
     _check(abs(vn_entropy(mixed) - np.log(2.0)) <= 1e-12, "pinching +x must give entropy ln 2")
 

@@ -135,6 +135,13 @@ class TestConfig:
             dests = {action.dest for action in parser._actions}
             assert len({d.lower() for d in dests}) == len(dests), command
 
+    def test_config_path_after_equals_sign(self, capsys, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[born]\nruns = 5\n")
+        code, out, _ = run_cli(capsys, "born", f"--config={path}")
+        assert code == 0
+        assert json.loads(out)["total"] == 5
+
     def test_missing_config_is_config_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "born", "--config",
                                str(tmp_path / "absent.ini"))
@@ -307,6 +314,97 @@ class TestExitCodes:
         assert err.startswith("qmeas: guard:") and "--nu-max" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
+    @pytest.mark.parametrize("points", ["10000000000", "100000000000000000000"])
+    def test_grid_points_refused_before_model(self, capsys, monkeypatch, command, points):
+        # the output rows of 1e10 points would need tens of GB, and 1e20
+        # points overflowed linspace; both are refused before any draw
+        def no_model(*args, **kwargs):
+            raise AssertionError("build_model called before the --points size guard")
+
+        monkeypatch.setattr(curie_weiss, "build_model", no_model)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--N", "4", "--points", points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qmeas: guard:") and "lower --points" in err
+        assert len(err.splitlines()) == 1
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("k", ["1000000000", "100000000000000000000"])
+    def test_cascade_k_refused_before_listing_indices(self, capsys, monkeypatch, k):
+        # cascade_correlation checks k <= N before it lists the subset; the
+        # stand-in range fails as soon as anything iterates the k indices
+        class Unlisted:
+            def __init__(self, n):
+                self.n = n
+
+            def __iter__(self):
+                raise AssertionError("cascade listed its k indices before checking k")
+
+        monkeypatch.setattr(_commands, "range", Unlisted, raising=False)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "cascade", "--N", "4", "--points", "3", "--k", k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == "qmeas: config: k must be in [1, N]\n"
+        assert peak < 2**20
+
+    def test_born_runs_past_int64_maps_to_2(self, capsys):
+        code, out, err = run_cli(capsys, "born", "--runs", "100000000000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == ("qmeas: config: at most 2^63 - 1 runs can be sampled, "
+                       "got 100000000000000000000\n")
+
+    def test_born_runs_at_int64_max(self, capsys):
+        code, out, _ = run_cli(capsys, "born", "--runs", str(2**63 - 1))
+        assert code == 0
+        data = json.loads(out)
+        assert data["total"] == 2**63 - 1 == sum(data["counts"])
+
+    @pytest.mark.parametrize("argv", [("register",), ("finalstate", "--reduced"),
+                                      ("finalstate",)],
+                             ids=["register", "finalstate-reduced", "finalstate"])
+    def test_sectors_refused_before_the_loop(self, capsys, monkeypatch, argv):
+        # ln C(N, k) for N + 1 sectors is a Python loop: at N = 1e20 it ran
+        # until stopped, growing a list; the byte guard on the sectors comes first
+        def no_loop(n_spins):
+            raise AssertionError("log_degeneracies called before the sector guard")
+
+        monkeypatch.setattr(equilibrium, "log_degeneracies", no_loop)
+        code, out, err = run_cli(capsys, *argv, "--N", "100000000000000000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qmeas: guard: the N + 1 magnetization sectors would need")
+        assert err.endswith("; lower N\n") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("born", "--r0", "bogus"), "r0 must be +x/-x/+y/-y/+z/-z or vx,vy,vz (got 'bogus')"),
+        (("born", "--r0", "1,2"), "r0 must be +x/-x/+y/-y/+z/-z or vx,vy,vz (got '1,2')"),
+        (("born", "--r0", "a,b,c"), "bad Bloch component in 'a,b,c'"),
+        (("feasible", "--correlators", "1,2,3"),
+         "correlators needs exactly 4 comma-separated entries"),
+        (("feasible", "--correlators", "x,0,0,0"), "bad correlators list: 'x,0,0,0'"),
+        (("recur", "--g", "1e-308", "--nu-max", "2"),
+         "the recurrence peak time nu_max pi/(2g) must be finite"),
+        (("born", "--config"), "--config needs a path"),
+    ], ids=["r0-name", "r0-count", "r0-component", "correlators-count", "correlators-value",
+            "recur-peak-time", "config-path"])
+    def test_refusal_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"qmeas: config: {message}\n"
+
     @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
     def test_oracle_n_past_analytic_range_maps_to_2(self, capsys, command):
         # the size guard leaves such an N to build_model's range check, so
@@ -381,13 +479,57 @@ class TestSelftests:
         assert out == ""
         assert err.startswith(f"selftest {command}: FAIL")
 
-    @pytest.mark.parametrize("command", ["finalstate", "born", "truncate", "cascade"])
-    def test_selftests_see_a_fault(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("fault", [
+        "finalstate", "born", "truncate", "cascade", "register-pair", "register-scalar",
+        "register-pointer-limit", "finalstate-window", "reduce-luders"])
+    def test_selftests_see_a_fault(self, capsys, monkeypatch, fault):
         # finalstate: every ln C(N, k) scaled by 1 + 1e-6; born: the Born
         # weights moved by +-1e-6, inside numpy's default rtol of 1e-5;
         # truncate: s_x and s_x(0) scaled by 1.1; cascade: both correlators
-        # scaled by 1.1
-        if command == "truncate":
+        # scaled by 1.1; register: the paired or the single mean-field m
+        # scaled by 1 + 1e-6, or the pointer-limit values by 1.01;
+        # finalstate-window: the pointer window scaled by 1 + 1e-3, which
+        # still passes PointerModel's checks; reduce: the Luders weight
+        # scaled by 1 + 1e-3
+        command = fault.split("-")[0]
+        if fault in ("register-pair", "register-scalar"):
+            magnetization = equilibrium.meanfield_magnetization
+            paired = fault == "register-pair"
+
+            def scaled(*args):
+                m = magnetization(*args)
+                if isinstance(m, tuple) == paired:
+                    return tuple(v * (1.0 + 1e-6) for v in m) if paired else m * (1.0 + 1e-6)
+                return m
+
+            monkeypatch.setattr(equilibrium, "meanfield_magnetization", scaled)
+        elif fault == "register-pointer-limit":
+            limit = equilibrium.pointer_limit
+
+            def shifted(*args):
+                res = limit(*args)
+                return dataclasses.replace(res, values=res.values * 1.01)
+
+            monkeypatch.setattr(equilibrium, "pointer_limit", shifted)
+        elif fault == "finalstate-window":
+            build = equilibrium.build_curie_weiss_pointer
+
+            def widened(*args, **kwargs):
+                pointer = build(*args, **kwargs)
+                return dataclasses.replace(pointer, window=pointer.window * (1.0 + 1e-3))
+
+            monkeypatch.setattr(equilibrium, "build_curie_weiss_pointer", widened)
+        elif fault == "reduce-luders":
+            from qmeas import runs
+
+            luders = runs.luders_branch
+
+            def reweighted(*args):
+                branch = luders(*args)
+                return dataclasses.replace(branch, p=branch.p * (1.0 + 1e-3))
+
+            monkeypatch.setattr(runs, "luders_branch", reweighted)
+        elif command == "truncate":
             transverse = curie_weiss.transverse_expectations
 
             def scaled(*args):
