@@ -72,7 +72,6 @@ def _emit(args, payload: dict, default_format: str) -> None:
     else:
         import json
 
-        # numpy floats are floats to json; arrays, bools and ints take tolist
         text = json.dumps(payload, indent=2, default=lambda obj: obj.tolist()) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -341,7 +341,7 @@ class TestExitCodes:
         # stand-in range fails as soon as anything iterates the k indices
         class Unlisted:
             def __init__(self, n):
-                self.n = n
+                pass
 
             def __iter__(self):
                 raise AssertionError("cascade listed its k indices before checking k")
