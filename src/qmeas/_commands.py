@@ -11,9 +11,12 @@ A --config file's settings reach a command as option tokens ahead of argv
 (parse), so one argparse parser checks types and choices for both sources.
 
 A body returns the layers' values as they come, numpy arrays and scalars
-included, and _emit owns their conversion to text: json.dumps takes numpy
-floats as floats and the rest through a tolist() hook, and the CSV
-key/value flattener reads each numpy leaf through tolist().
+included, and _emit owns their conversion to text.  A key/value body returns
+a dict: json.dumps takes numpy floats as floats and the rest through a
+tolist() hook, and the CSV flattener reads each numpy leaf through tolist().
+A grid body (truncate, recur, cascade, appc-report) returns its columns as
+(name, array) pairs, and _emit writes their rows _CHUNK_ROWS at a time, so
+no row object outlives its chunk.
 """
 import argparse
 import math
@@ -66,33 +69,71 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _emit(args, payload: dict, default_format: str) -> None:
-    if (args.format or default_format) == "csv":
-        text = _render_csv(payload)
-    else:
-        import json
+# rows per write of a grid body's columns: one chunk's row objects and text
+# are alive at a time
+_CHUNK_ROWS = 1 << 14
 
-        text = json.dumps(payload, indent=2, default=lambda obj: obj.tolist()) + "\n"
+
+def _emit(args, payload, default_format: str) -> None:
+    """Write a body's payload: a dict as one key/value record, (name, column)
+    pairs as a header and their rows, _CHUNK_ROWS at a time."""
+    csv = (args.format or default_format) == "csv"
+    if isinstance(payload, dict):
+        parts = [_render_csv(payload) if csv else _render_json(payload)]
+    else:
+        parts = (_csv_rows if csv else _json_rows)(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+def _render_json(payload: dict) -> str:
+    import json
+
+    return json.dumps(payload, indent=2, default=lambda obj: obj.tolist()) + "\n"
 
 
 def _render_csv(payload: dict) -> str:
-    lines = [f"# qmeas {__version__}"]
-    if "columns" in payload and "rows" in payload:
-        lines.append(",".join(payload["columns"]))
-        # "%" converts each value as float(x) does, so a row reads as its
-        # values through _fmt joined by commas
-        row_fmt = ",".join(["%.17g"] * len(payload["columns"]))
-        lines.extend([row_fmt % tuple(row) for row in payload["rows"]])
-    else:
-        lines.append("key,value")
-        for k, v in _flatten_for_csv(payload):
-            lines.append(f"{k},{v}")
+    lines = [f"# qmeas {__version__}", "key,value"]
+    for k, v in _flatten_for_csv(payload):
+        lines.append(f"{k},{v}")
     return "\n".join(lines) + "\n"
+
+
+def _chunks(columns):
+    """The rows of (name, column) pairs as tuples of Python values, in lists
+    of up to _CHUNK_ROWS."""
+    for i in range(0, len(columns[0][1]), _CHUNK_ROWS):
+        yield list(zip(*[col[i:i + _CHUNK_ROWS].tolist() for _, col in columns]))
+
+
+def _csv_rows(columns):
+    yield f"# qmeas {__version__}\n" + ",".join(name for name, _ in columns) + "\n"
+    # "%.17g" converts each value as float(x) does, so a float reads as its
+    # _fmt; an integer column (nu, recur's seeds) prints exactly
+    row_fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%d"
+                       for _, col in columns) + "\n"
+    for chunk in _chunks(columns):
+        yield "".join([row_fmt % row for row in chunk])
+
+
+def _json_rows(columns):
+    """json.dumps({"columns": names, "rows": rows}, indent=2) + "\n", from
+    json's own text of each chunk."""
+    import json
+
+    # the layout around one row at its depth (a grid has at least one), and
+    # each chunk's rows at the same depth without their 14-character head
+    # and 6-character tail
+    names = [name for name, _ in columns]
+    head, tail = json.dumps({"columns": names, "rows": [0]}, indent=2).split("\n    0\n")
+    sep = head + "\n"
+    for chunk in _chunks(columns):
+        yield sep + json.dumps({"rows": chunk}, indent=2)[14:-6]
+        sep = ",\n"
+    yield "\n" + tail + "\n"
 
 
 def _flatten_for_csv(obj, prefix=""):
@@ -118,11 +159,12 @@ def _flatten_for_csv(obj, prefix=""):
     return items
 
 
-# bytes per grid point alive when a grid command writes its output: its row
-# and its text (tracemalloc at 1e4..4e4 points, past imports: appc-report
-# 985-991 for JSON and 650-659 for CSV, truncate 670-682 and 423-431,
-# cascade --k 3 532-543 and 333-340, oracle-check 278-280)
-_POINT_BYTES = 1000
+# bytes per grid point (per recur peak) alive at a grid command's peak: its
+# layers' arrays, since _emit holds one chunk of rows at a time.  tracemalloc
+# past imports, --out, CSV and JSON alike: oracle-check 277-279 (N = 4 and
+# 8, 2e4-2e5 points); at 2e5 points, one chunk's text included, cascade
+# --k 3 173, appc-report 97-130, recur 93-102, truncate 81-90
+_POINT_BYTES = 300
 
 
 def _model_and_grid(args):
@@ -156,7 +198,7 @@ def _model_and_grid(args):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_truncate(args) -> dict:
+def _cmd_truncate(args) -> list:
     import numpy as np
 
     from . import curie_weiss
@@ -166,20 +208,13 @@ def _cmd_truncate(args) -> dict:
     # (t/tau)^2 overflows past t/tau ~ 1.3e154; the envelope is exactly 0 long
     # before, so the ratio is capped where its square is still finite
     env = res.sx0 * np.exp(-(np.minimum(grid / res.tau, 1e154) ** 2))
-    rows = list(zip(grid.tolist(), res.sx.tolist(), res.sy.tolist(), env.tolist()))
-    return {"columns": ["t", "sx", "sy", "gaussian_envelope"], "rows": rows}
+    return [("t", grid), ("sx", res.sx), ("sy", res.sy), ("gaussian_envelope", env)]
 
 
-# bytes per recurrence peak alive when recur writes its output: its row and
-# its text (tracemalloc at N = 100, nu_max * seeds = 1e5..3e5, past imports:
-# 403-406 per peak for CSV, 745-748 for JSON)
-_RECUR_PEAK_BYTES = 900
-
-
-def _cmd_recur(args) -> dict:
+def _cmd_recur(args) -> list:
     if args.seeds < 1:
         raise ValidationError("--seeds must be at least 1")
-    guard_bytes(_RECUR_PEAK_BYTES * args.nu_max * args.seeds, "recur's peak rows",
+    guard_bytes(_POINT_BYTES * args.nu_max * args.seeds, "recur's peak rows",
                 "lower --nu-max or --seeds")
     # the last peak, nu_max pi / (2g); build_model refuses a g that is not
     # finite and positive
@@ -199,21 +234,21 @@ def _cmd_recur(args) -> dict:
         model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed, r0)
         profiles.append(curie_weiss.recurrence_profile(model, args.nu_max))
         del model
-    columns = [np.concatenate([getattr(p, name) for p in profiles]).tolist()
-               for name in ("nu", "time", "measured", "predicted")]
-    seed_column = (seed for seed in seeds for _ in range(args.nu_max))
-    rows = list(zip(seed_column, *columns))
-    return {"columns": ["seed", "nu", "t_nu", "measured", "predicted"], "rows": rows}
+    # the seeds as Python ints, exact past int64
+    seed_column = np.repeat(np.array(seeds, dtype=object), args.nu_max)
+    return [("seed", seed_column)] + [
+        (name, np.concatenate([getattr(p, field) for p in profiles]))
+        for name, field in zip(("nu", "t_nu", "measured", "predicted"),
+                               ("nu", "time", "measured", "predicted"))]
 
 
-def _cmd_cascade(args) -> dict:
+def _cmd_cascade(args) -> list:
     from . import curie_weiss
 
     model, grid = _model_and_grid(args)
     subset = _parse_ints(args.subset) if args.subset else range(args.k)
     cx, cy = curie_weiss.cascade_correlation(model, args.k, subset, grid)
-    rows = list(zip(grid.tolist(), cx.tolist(), cy.tolist()))
-    return {"columns": ["t", "corr_sx", "corr_sy"], "rows": rows}
+    return [("t", grid), ("corr_sx", cx), ("corr_sy", cy)]
 
 
 def _cmd_register(args) -> dict:
@@ -428,19 +463,15 @@ def _cmd_oracle_check(args) -> dict:
     }
 
 
-def _cmd_appc_report(args) -> dict:
+def _cmd_appc_report(args) -> list:
     from . import oracle
 
     oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
     rep = oracle.appendix_c_grid(model, grid)
-    cols = ["t", "invariant_deviation", "sx"]
-    series = [rep.times.tolist(), rep.invariant_deviation.tolist(), rep.sx.tolist()]
-    for k in sorted(rep.correlators):
-        cols.append(f"cascade_{k}")
-        series.append(rep.correlators[k].tolist())
-    rows = list(zip(*series))
-    return {"columns": cols, "rows": rows}
+    cascades = [(f"cascade_{k}", rep.correlators[k]) for k in sorted(rep.correlators)]
+    return [("t", rep.times), ("invariant_deviation", rep.invariant_deviation),
+            ("sx", rep.sx)] + cascades
 
 
 # ---------------------------------------------------------------- options

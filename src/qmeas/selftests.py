@@ -56,6 +56,14 @@ def _selftest_recur():
     _check(np.all(np.abs(peaks.measured - 1.0) <= 1e-12), "equal couplings must recur fully")
     _check(np.all(peaks.predicted == 1.0), "equal couplings must predict full recurrence")
     _check(abs(peaks.time[0] - np.pi / 2.0) <= 1e-15, "the first recurrence must sit at pi/(2g)")
+    # N = 2, couplings 0.7 (1 +- 0.1): each deviation angle at t_nu is
+    # nu pi 0.1, so |F(t_nu)| = cos^2(0.1 nu pi), and K = (0.1 pi)^2
+    pair = curie_weiss.recurrence_profile(curie_weiss.build_model(2, 0.7, 0.1, 0), 5)
+    nu = np.arange(1, 6)
+    _check(np.allclose(pair.measured, np.cos(0.1 * np.pi * nu) ** 2, rtol=0, atol=1e-15),
+           "the peaks must be cos^2(0.1 nu pi) at N = 2, g = 0.7 (1 +- 0.1)")
+    _check(np.allclose(pair.predicted, np.exp(-(0.1 * np.pi * nu) ** 2), rtol=0, atol=1e-15),
+           "the Gaussian estimate must be exp(-(0.1 nu pi)^2) at N = 2, delta = 0.1")
 
 
 def _selftest_cascade():
@@ -212,6 +220,12 @@ def _selftest_ambiguity():
            and np.allclose(dec.v2, [0, 0, -1], rtol=0, atol=1e-15),
            "the z chord must end at the poles")
     _check(abs(dec.rho1 - 0.5) <= 1e-15, "the centre must split the z chord evenly")
+    # off the centre on a tilted chord, rho1 is v's distance to v2 over the chord's length
+    v = np.array([0.2, -0.1, 0.3])
+    dec = ambiguity.chord_decomposition(v, (1, 1, 0.5))
+    _check(abs(dec.rho1 - np.linalg.norm(v - dec.v2) / np.linalg.norm(dec.v1 - dec.v2))
+           <= 1e-15,
+           "rho1 must be |v - v2| / |v1 - v2| on the chord (1, 1, 0.5) through (0.2, -0.1, 0.3)")
     try:
         ambiguity.ambiguity_witness((0, 0, 0), (0, 0, 1), (0, 0, -1))
     except ValidationError:

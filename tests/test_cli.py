@@ -317,8 +317,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["truncate", "cascade", "oracle-check", "appc-report"])
     @pytest.mark.parametrize("points", ["10000000000", "100000000000000000000"])
     def test_grid_points_refused_before_model(self, capsys, monkeypatch, command, points):
-        # the output rows of 1e10 points would need tens of GB, and 1e20
-        # points overflowed linspace; both are refused before any draw
+        # the arrays of 1e10 points would need terabytes, and 1e20 points
+        # overflowed linspace; both are refused before any draw
         def no_model(*args, **kwargs):
             raise AssertionError("build_model called before the --points size guard")
 
@@ -481,7 +481,7 @@ class TestSelftests:
 
     @pytest.mark.parametrize("fault", [
         "finalstate", "born", "truncate", "cascade", "register-pair", "register-scalar",
-        "register-pointer-limit", "finalstate-window", "reduce-luders"])
+        "register-pointer-limit", "finalstate-window", "reduce-luders", "recur", "ambiguity"])
     def test_selftests_see_a_fault(self, capsys, monkeypatch, fault):
         # finalstate: every ln C(N, k) scaled by 1 + 1e-6; born: the Born
         # weights moved by +-1e-6, inside numpy's default rtol of 1e-5;
@@ -490,7 +490,11 @@ class TestSelftests:
         # scaled by 1 + 1e-6, or the pointer-limit values by 1.01;
         # finalstate-window: the pointer window scaled by 1 + 1e-3, which
         # still passes PointerModel's checks; reduce: the Luders weight
-        # scaled by 1 + 1e-3
+        # scaled by 1 + 1e-3; recur: every cosine angle scaled by 1.001,
+        # which leaves equal couplings' peaks at exactly 1; ambiguity: the
+        # chord weights pulled apart by 1e-12 of their difference, which
+        # leaves them 1/2 at the chord's centre and passes the decomposition's
+        # own 1e-12 checks
         command = fault.split("-")[0]
         if fault in ("register-pair", "register-scalar"):
             magnetization = equilibrium.meanfield_magnetization
@@ -537,6 +541,22 @@ class TestSelftests:
                 return dataclasses.replace(res, sx=res.sx * 1.1, sx0=res.sx0 * 1.1)
 
             monkeypatch.setattr(curie_weiss, "transverse_expectations", scaled)
+        elif command == "recur":
+            cos_product = curie_weiss._cos_product
+            monkeypatch.setattr(curie_weiss, "_cos_product",
+                                lambda c, t, shift=0.0, drop=None:
+                                cos_product(c, t * 1.001, shift, drop))
+        elif command == "ambiguity":
+            from qmeas import ambiguity
+
+            chord = ambiguity.chord_decomposition
+
+            def pulled(*args):
+                dec = chord(*args)
+                shift = 1e-12 * (dec.rho1 - dec.rho2)
+                return dataclasses.replace(dec, rho1=dec.rho1 + shift, rho2=dec.rho2 - shift)
+
+            monkeypatch.setattr(ambiguity, "chord_decomposition", pulled)
         elif command == "cascade":
             cascade = curie_weiss.cascade_correlation
             monkeypatch.setattr(curie_weiss, "cascade_correlation",
@@ -729,14 +749,100 @@ class TestOutputs:
         assert data["pass_1e10"] is True
 
     def test_csv_rows_render_as_fmt_join(self):
-        # the one-format-per-row renderer must read as _fmt on every value
+        # the one-format-per-row writer must read as _fmt on every value of
+        # a float column
         rows = [[0, np.int64(3), -0.0, np.float64(-0.0)],
                 [np.inf, -np.inf, np.float32(0.1), 1e300],
                 [5e-324, np.float64(1.0) / 3.0, 12345678901234567, True]]
-        text = _commands._render_csv({"columns": ["a", "b", "c", "d"], "rows": rows})
+        columns = [(name, np.array(col)) for name, col in zip("abcd", zip(*rows))]
+        assert all(col.dtype == np.float64 for _, col in columns)
+        text = "".join(_commands._csv_rows(columns))
         body = strip_version_header(text).splitlines()
         assert body == ["a,b,c,d"] + [",".join(_commands._fmt(x) for x in row)
                                       for row in rows]
+
+    @pytest.mark.parametrize("seed", [2**53 + 1, 123456789012345678, 2**64 + 5])
+    def test_recur_csv_seeds_print_exactly(self, capsys, seed):
+        # float rounding printed 123456789012345678 and the next seed alike
+        argv = ["recur", "--N", "4", "--delta-g-rel", "0.1", "--seed", str(seed),
+                "--seeds", "2", "--nu-max", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = strip_version_header(out).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(seed), str(seed + 1)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert [row[0] for row in json.loads(out)["rows"]] == [seed, seed + 1]
+
+    @staticmethod
+    def _layer_columns(command, argv):
+        """(names, columns) of a grid command, from its layer's arrays."""
+        args = _commands.parse(command, argv, {})
+        if command == "recur":
+            profiles = [curie_weiss.recurrence_profile(
+                curie_weiss.build_model(args.N, args.g, args.delta_g_rel, seed), args.nu_max)
+                for seed in range(args.seed, args.seed + args.seeds)]
+            seeds = [seed for seed in range(args.seed, args.seed + args.seeds)
+                     for _ in range(args.nu_max)]
+            return ["seed", "nu", "t_nu", "measured", "predicted"], [seeds] + [
+                np.concatenate([getattr(p, f) for p in profiles]).tolist()
+                for f in ("nu", "time", "measured", "predicted")]
+        model, grid = _commands._model_and_grid(args)
+        if command == "truncate":
+            res = curie_weiss.transverse_expectations(model, grid)
+            env = res.sx0 * np.exp(-((grid / res.tau) ** 2))
+            return ["t", "sx", "sy", "gaussian_envelope"], [
+                grid.tolist(), res.sx.tolist(), res.sy.tolist(), env.tolist()]
+        rep = oracle.appendix_c_grid(model, grid)
+        ks = sorted(rep.correlators)
+        return ["t", "invariant_deviation", "sx"] + [f"cascade_{k}" for k in ks], [
+            rep.times.tolist(), rep.invariant_deviation.tolist(), rep.sx.tolist()] + [
+            rep.correlators[k].tolist() for k in ks]
+
+    @pytest.mark.parametrize("rows", [1, 4, 5, 9])
+    @pytest.mark.parametrize("command", ["truncate", "recur", "appc-report"])
+    def test_chunked_rows_match_one_dump(self, capsys, monkeypatch, command, rows):
+        # 4-row chunks: one chunk, exactly one, one plus a row, two plus a row
+        monkeypatch.setattr(_commands, "_CHUNK_ROWS", 4)
+        if command == "recur":
+            # 9 rows as three seeds of three peaks
+            size = ["--nu-max", "3", "--seeds", "3"] if rows == 9 else ["--nu-max", str(rows)]
+            argv = ["--N", "6", "--delta-g-rel", "0.2", "--seed", "3", *size]
+        else:
+            argv = ["--N", "4", "--delta-g-rel", "0.2", "--seed", "3", "--points", str(rows)]
+        names, columns = self._layer_columns(command, argv)
+        code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
+        assert code == 0
+        rows_ = [list(r) for r in zip(*columns)]
+        assert len(rows_) == rows
+        assert out == json.dumps({"columns": names, "rows": rows_}, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, command, *argv, "--format", "csv")
+        assert code == 0
+        assert strip_version_header(out).splitlines() == [",".join(names)] + [
+            ",".join(_commands._fmt(x) for x in row) for row in rows_]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("truncate", "--N", "1000", "--delta-g-rel", "0.1", "--points"),
+        ("cascade", "--N", "1000", "--k", "3", "--points"),
+        ("recur", "--N", "100", "--delta-g-rel", "0.1", "--nu-max"),
+        ("appc-report", "--N", "4", "--points"),
+    ], ids=lambda argv: argv[0])
+    def test_grid_output_bytes_per_point(self, capsys, tmp_path, argv, fmt):
+        # rows are written a chunk at a time, so a grid's output holds no
+        # per-row objects past one chunk; the whole-text writer held 337-974
+        # bytes per point here
+        points = 200_000
+        out = str(tmp_path / "grid.txt")
+        assert run_cli(capsys, *argv, "10", "--format", fmt, "--out", out)[0] == 0
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv, str(points), "--format", fmt, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 200 * points
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -39,10 +39,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_clean(argv):
-    """Exit code and parsed JSON (None on exit 2) of one in-process run that
-    warns nothing, exits 0 with finite JSON and an empty stderr, or exits 2
-    with one stderr line and no stdout."""
+def _run_checked(argv):
+    """Exit code and stdout of one in-process run that warns nothing, exits 0
+    with an empty stderr, or exits 2 with one stderr line and no stdout."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(argv)
@@ -50,9 +49,16 @@ def _run_clean(argv):
     assert code in (0, 2), (code, err)
     if code == 2:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("qmeas: ")
-        return code, None
-    assert err == ""
-    return code, json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert err == ""
+    return code, out
+
+
+def _run_clean(argv):
+    """Exit code and parsed JSON (None on exit 2) of a _run_checked run whose
+    JSON is finite."""
+    code, out = _run_checked(argv)
+    return code, (json.loads(out, parse_constant=_refuse_constant) if code == 0 else None)
 
 
 @settings(max_examples=300)
@@ -185,3 +191,93 @@ def test_ambiguity_exits_clean(v, d1, d2):
         assert np.max(np.abs(chord["rho1"] * v1 + chord["rho2"] * v2 - arrays[0])) <= 1e-9
     overlaps = np.array(data["overlaps"])
     assert overlaps.shape == (4, 4) and np.all((overlaps >= -1e-12) & (overlaps <= 1.0 + 1e-12))
+
+
+# grid options inside the ranges each command accepts, at sizes that keep an
+# example to milliseconds; N = 1 with a spread, and a draw with some g_n <= 0,
+# are refused.  A spoiler appended to argv overrides one option with a value
+# it refuses.
+spins = st.integers(1, 8)
+spread = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 0.9))
+tmax_tau = st.one_of(st.sampled_from([1e-300, 1e300]), st.floats(0.01, 50.0))
+state = st.one_of(st.sampled_from(sorted(_NAMED)),
+                  st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3))
+spoiler = st.one_of(st.none(), st.sampled_from([
+    "--delta-g-rel=1.0", "--delta-g-rel=-0.1", "--delta-g-rel=nan", "--tmax-tau=0.0",
+    "--tmax-tau=-1.0", "--tmax-tau=nan", "--tmax-tau=inf", "--points=0", "--r0=nan,0,0",
+    "--r0=1,1,0", "--r0=+w", "--seed=-1", "--g=0.0", "--g=inf"]))
+
+
+def _model_argv(n, rel, seed, r0):
+    return [f"--N={n}", f"--delta-g-rel={rel!r}", f"--seed={seed}",
+            "--r0=" + (r0 if isinstance(r0, str) else _csv(r0))]
+
+
+def _grid_rows(argv):
+    """Exit code and JSON payload (None on exit 2) of a grid command run in
+    both formats, whose CSV rows parse to the JSON rows' values exactly."""
+    code, out_json = _run_checked(argv + ["--format=json"])
+    code_csv, out_csv = _run_checked(argv + ["--format=csv"])
+    assert code_csv == code
+    if code == 2:
+        return code, None
+    data = json.loads(out_json, parse_constant=_refuse_constant)
+    lines = out_csv.splitlines()
+    assert lines[0].startswith("# qmeas ") and lines[1] == ",".join(data["columns"])
+    assert [[float(x) for x in line.split(",")] for line in lines[2:]] == data["rows"]
+    return code, data
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(["truncate", "cascade", "appc-report"]), n=spins, rel=spread,
+       seed=st.integers(0, 3), r0=state, tmax=tmax_tau, points=st.integers(1, 40),
+       k=st.integers(1, 8), spoil=spoiler)
+def test_grid_commands_exit_clean(command, n, rel, seed, r0, tmax, points, k, spoil):
+    argv = [command, *_model_argv(n, rel, seed, r0), f"--tmax-tau={tmax!r}",
+            f"--points={points}"]
+    if command == "cascade":
+        argv.append(f"--k={min(k, n)}")
+    code, data = _grid_rows(argv + ([spoil] if spoil else []))
+    if spoil is not None or (n == 1 and rel > 0.0):
+        assert code == 2
+    if code == 2:
+        return
+    assert len(data["rows"]) == points
+    assert data["rows"][0][0] == 0.0
+    if command != "appc-report":
+        assert all(abs(v) <= 1.0 for row in data["rows"] for v in row[1:])
+
+
+@settings(max_examples=80)
+@given(n=spins, rel=spread, seed=st.integers(0, 3), r0=state, nu_max=st.integers(1, 40),
+       seeds=st.integers(1, 40),
+       spoil=st.one_of(spoiler, st.sampled_from(["--nu-max=0", "--seeds=0"])))
+def test_recur_exits_clean(n, rel, seed, r0, nu_max, seeds, spoil):
+    seeds = min(seeds, 40 // nu_max)
+    argv = ["recur", *_model_argv(n, rel, seed, r0), f"--nu-max={nu_max}", f"--seeds={seeds}"]
+    # recur takes no grid
+    if spoil and spoil.startswith(("--tmax-tau", "--points")):
+        spoil = None
+    code, data = _grid_rows(argv + ([spoil] if spoil else []))
+    if spoil is not None or (n == 1 and rel > 0.0):
+        assert code == 2
+    if code == 2:
+        return
+    assert [row[:2] for row in data["rows"]] == [
+        [s, nu] for s in range(seed, seed + seeds) for nu in range(1, nu_max + 1)]
+    assert all(0.0 <= v <= 1.0 for row in data["rows"] for v in row[3:])
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 6), rel=spread, seed=st.integers(0, 3), r0=state, tmax=tmax_tau,
+       points=st.integers(1, 40), spoil=spoiler)
+def test_oracle_check_exits_clean(n, rel, seed, r0, tmax, points, spoil):
+    argv = ["oracle-check", *_model_argv(n, rel, seed, r0), f"--tmax-tau={tmax!r}",
+            f"--points={points}"] + ([spoil] if spoil else [])
+    code, data = _run_clean(argv + ["--format=json"])
+    assert _run_checked(argv + ["--format=csv"])[0] == code
+    if spoil is not None or (n == 1 and rel > 0.0):
+        assert code == 2
+    if code == 0:
+        assert data["n"] == n and data["points"] == points
+        assert data["pass_1e10"] is True
