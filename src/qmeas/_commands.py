@@ -81,7 +81,7 @@ def _emit(args, payload, default_format: str) -> None:
     if isinstance(payload, dict):
         parts = [_render_csv(payload) if csv else _render_json(payload)]
     else:
-        parts = (_csv_rows if csv else _json_rows)(payload)
+        parts = _grid_rows(payload, csv)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
@@ -102,38 +102,25 @@ def _render_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chunks(columns):
-    """The rows of (name, column) pairs as tuples of Python values, in lists
-    of up to _CHUNK_ROWS."""
-    for i in range(0, len(columns[0][1]), _CHUNK_ROWS):
-        yield list(zip(*[col[i:i + _CHUNK_ROWS].tolist() for _, col in columns]))
-
-
-def _csv_rows(columns):
-    yield f"# qmeas {__version__}\n" + ",".join(name for name, _ in columns) + "\n"
-    # "%.17g" converts each value as float(x) does, so a float reads as its
-    # _fmt; an integer column (nu, recur's seeds) prints exactly
-    row_fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%d"
-                       for _, col in columns) + "\n"
-    for chunk in _chunks(columns):
-        yield "".join([row_fmt % row for row in chunk])
-
-
-def _json_rows(columns):
-    """json.dumps({"columns": names, "rows": rows}, indent=2) + "\n", from
-    json's own text of each chunk."""
-    import json
-
-    # the layout around one row at its depth (a grid has at least one), and
-    # each chunk's rows at the same depth without their 14-character head
-    # and 6-character tail
+def _grid_rows(columns, csv: bool):
+    """A grid body's (name, column) pairs as a head, the rows _CHUNK_ROWS at
+    a time through one %-format per row, and a tail.  CSV's %.17g reads a
+    float as _fmt does, and %d prints an integer column exactly.  JSON is
+    json.dumps({"columns": names, "rows": rows}, indent=2) + "\n": json
+    writes an int and a finite float, as every grid value is, as repr does."""
     names = [name for name, _ in columns]
-    head, tail = json.dumps({"columns": names, "rows": [0]}, indent=2).split("\n    0\n")
-    sep = head + "\n"
-    for chunk in _chunks(columns):
-        yield sep + json.dumps({"rows": chunk}, indent=2)[14:-6]
-        sep = ",\n"
-    yield "\n" + tail + "\n"
+    if csv:
+        head, sep, tail = f"# qmeas {__version__}\n" + ",".join(names) + "\n", "\n", "\n"
+        row = ",".join("%.17g" if col.dtype.kind == "f" else "%d" for _, col in columns)
+    else:
+        head = '{\n  "columns": [\n    "%s"\n  ],\n  "rows": [\n' % '",\n    "'.join(names)
+        row = "    [\n      " + ",\n      ".join(["%r"] * len(columns)) + "\n    ]"
+        sep, tail = ",\n", "\n  ]\n}\n"
+    yield head
+    for i in range(0, len(columns[0][1]), _CHUNK_ROWS):
+        rows = zip(*[col[i:i + _CHUNK_ROWS].tolist() for _, col in columns])
+        yield (sep if i else "") + sep.join([row % r for r in rows])
+    yield tail
 
 
 def _flatten_for_csv(obj, prefix=""):
@@ -170,7 +157,7 @@ _POINT_BYTES = 300
 def _model_and_grid(args):
     """The model and time grid of truncate, cascade, oracle-check and
     appc-report; --points, --tmax-tau and the largest angle are checked
-    before any coupling is drawn."""
+    before any coupling is drawn, the grid end before the grid is formed."""
     import numpy as np
 
     from . import curie_weiss
@@ -191,8 +178,10 @@ def _model_and_grid(args):
                               "lower --tmax-tau")
     r0 = bloch_state(_parse_bloch(args.r0))
     model = curie_weiss.build_model(args.N, args.g, args.delta_g_rel, args.seed, r0)
-    tau = curie_weiss.truncation_time(model)
-    return model, np.linspace(0.0, args.tmax_tau * tau, args.points)
+    t_end = args.tmax_tau * float(curie_weiss.truncation_time(model))
+    if not math.isfinite(2.0 * t_end):  # the kernel takes the couplings at 2t
+        raise ValidationError("the doubled grid end 2 tmax_tau tau must be finite; lower --tmax-tau")
+    return model, np.linspace(0.0, t_end, args.points)
 
 
 # ---------------------------------------------------------------- commands
@@ -442,8 +431,8 @@ def _cmd_oracle_check(args) -> dict:
     oracle.guard_spins(args.N)
     model, grid = _model_and_grid(args)
     subsets = [tuple(range(k)) for k in range(1, min(3, model.N) + 1)]
-    res = curie_weiss.transverse_expectations(model, grid)
     obs = oracle.grid_expectations(model, grid, subsets)
+    res = curie_weiss.transverse_expectations(model, grid)
 
     def worst(*pairs) -> float:
         return max(np.max(np.abs(got - want)) for got, want in pairs)

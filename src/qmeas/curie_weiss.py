@@ -70,19 +70,23 @@ class CurieWeissModel:
             raise ValidationError("couplings must have shape (N,)")
         if np.any(c <= 0.0):
             raise ValidationError("all couplings must be positive")
-        # deviation sums by blocks: no N-sized deviation array, and no BLAS
-        # dot, which OpenBLAS may hand to its worker threads
+        cmax = float(c.max())
+        if not math.isfinite(2.0 * cmax):  # every angle is 2 g_n t
+            raise ValidationError("every coupling rate 2 g_n must be finite; lower g")
+        # deviation sums by blocks in units of cmax, so no square under- or
+        # overflows: no N-sized array, and no BLAS dot (OpenBLAS threads)
         dsum = dsq = 0.0
         for lo in range(0, c.size, _POWER_BLOCK):
             dg = c[lo:lo + _POWER_BLOCK] - self.g
+            dg /= cmax
             dsum += float(dg.sum())
             dg *= dg
             dsq += float(dg.sum())
-        if abs(dsum / c.size) > 1e-12 * self.g:
+        if abs(dsum / c.size) * cmax > 1e-12 * self.g:
             raise ValidationError("coupling deviations must have zero mean")
-        rms = float(np.sqrt(dsq / c.size))
-        ref = max(abs(self.delta_g_rms), abs(rms))
-        if ref > 0.0 and abs(rms - self.delta_g_rms) > 1e-12 * ref:
+        rms = math.sqrt(dsq / c.size) * cmax
+        # on the scale of g, as the mean: g + dg_n rounds dg_n by ulp(g) / 2
+        if abs(rms - self.delta_g_rms) > 1e-12 * max(abs(self.delta_g_rms), rms, self.g):
             raise ValidationError("delta_g_rms does not match the stored couplings")
         if self.r0.matrix.shape != (2, 2):
             raise ValidationError("r0 must be a 2x2 density operator")
@@ -218,8 +222,9 @@ def _cos_product(c: np.ndarray, times, shift: float = 0.0, drop=None) -> np.ndar
     dropped terms' power sums are subtracted from the full ones and clamped
     at 0, so every term is <= 0, F is in [0, 1], F(0) = 1 exactly and
     F(-t) == F(t) bit for bit.  Past the radius the kernel takes the kept
-    coefficients at times 2t, the same angles bit for bit as 2c at t.  The
-    empty product, and every product of zero angles, is exactly 1.
+    coefficients at times 2t (shifted ones doubled, at t, as a late peak's
+    2t may overflow), the same angles bit for bit as 2c at t.  The empty
+    product, and every product of zero angles, is exactly 1.
     """
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if t.ndim != 1:
@@ -249,8 +254,9 @@ def _cos_product(c: np.ndarray, times, shift: float = 0.0, drop=None) -> np.ndar
     if not near.all():
         kept = c if drop is None else np.delete(c, drop)
         if shift:
-            kept = kept - shift
-        out[~near] = kernels.trig_product(kept, 2.0 * t[~near])
+            out[~near] = kernels.trig_product(2.0 * (kept - shift), t[~near])
+        else:
+            out[~near] = kernels.trig_product(kept, 2.0 * t[~near])
     return out
 
 
@@ -334,12 +340,12 @@ def cascade_correlation(model: CurieWeissModel, k: int, subset, times):
     cx, cy = _cascade_coefficients(model.r0, k)
     # tiny t gives subnormal sin factors, and two deep factors (or a deep
     # envelope and a coefficient below 1) may multiply to a subnormal or 0:
-    # underflow here is rounding, not an error
+    # underflow here is rounding, not an error; + 0.0 makes a zero +0.0
     with np.errstate(under="ignore"):
         sines = kernels.trig_product(2.0 * model.couplings[idx], times,
                                      sin_mask=np.ones(k, dtype=bool))
         env = sines * cosines
-        corr_x, corr_y = cx * env, cy * env
+        corr_x, corr_y = cx * env + 0.0, cy * env + 0.0
     if scalar:
         return float(corr_x[0]), float(corr_y[0])
     return corr_x, corr_y

@@ -25,6 +25,7 @@ N = 10.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -104,6 +105,9 @@ def _phase_tiles(model: CurieWeissModel, times) -> Iterator[tuple[np.ndarray, np
     and K_1 - K_0 = 2 sum_n g_n sigma_z.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    # |t (K_1 - K_0)| rounds to at most 2 sum_n g_n max|t|
+    if not math.isfinite(2.0 * sum(model.couplings.tolist()) * float(np.max(np.abs(times)))):
+        raise ValidationError("the phase t (K_1 - K_0) must be finite; lower the grid end or g")
     dk = weighted_magnetization_diag(model.couplings)
     dk *= 2.0
     cols = min(dk.size, _TILE)

@@ -713,6 +713,12 @@ class TestOutputs:
         cx, cy = curie_weiss.cascade_correlation(model, 2, (0, 3), grid)
         assert json.loads(out)["rows"] == [list(r) for r in zip(grid.tolist(), cx.tolist(),
                                                                 cy.tolist())]
+        # +x has no y component, so at k = 2 every corr_sy is an exact zero,
+        # and it is +0.0: the output prints 0, not -0
+        assert np.all(cy == 0.0)
+        printed = np.array(json.loads(out)["rows"])
+        for col in (cx, cy, printed):
+            assert not np.signbit(col[col == 0.0]).any()
 
     def test_full_finalstate_builds_no_full_pointer(self, capsys, monkeypatch):
         def no_full(*args, **kwargs):
@@ -756,7 +762,7 @@ class TestOutputs:
                 [5e-324, np.float64(1.0) / 3.0, 12345678901234567, True]]
         columns = [(name, np.array(col)) for name, col in zip("abcd", zip(*rows))]
         assert all(col.dtype == np.float64 for _, col in columns)
-        text = "".join(_commands._csv_rows(columns))
+        text = "".join(_commands._grid_rows(columns, csv=True))
         body = strip_version_header(text).splitlines()
         assert body == ["a,b,c,d"] + [",".join(_commands._fmt(x) for x in row)
                                       for row in rows]
@@ -951,8 +957,9 @@ def _argparse_baseline() -> set:
     (["cascade", "--N", "1000", "--points", "50", "--k", "3"], {"numpy.ma"}),
     (["oracle-check", "--N", "6", "--points", "20"], {"numpy.ma"}),
     (["finalstate", "--N", "10"], {"qmeas.curie_weiss", "qmeas.kernels"}),
+    (["recur", "--N", "100", "--delta-g-rel", "0.1", "--format", "json"], {"json"}),
 ], ids=["version", "chsh", "born", "truncate", "register", "truncate-past-radius",
-        "cascade", "oracle-check", "finalstate-full"])
+        "cascade", "oracle-check", "finalstate-full", "grid-json"])
 def test_command_loads_only_its_layers(argv, absent):
     # the fixed cost of a job is the code that job runs
     code, loaded = _run_and_list_modules(argv)
@@ -969,12 +976,22 @@ def test_command_loads_only_its_layers(argv, absent):
     ["cascade", "--N", "50", "--g", "1e308", "--points", "2", "--k", "2"],
     ["truncate", "--N", "2", "--delta-g-rel", "0.5", "--tmax-tau", "1.5e308",
      "--points", "2"],
+    ["cascade", "--N", "2", "--g", "1e-10", "--tmax-tau", "1e300", "--points", "3"],
+    ["truncate", "--N", "2", "--g", "1e-10", "--tmax-tau", "1e300", "--points", "3"],
+    ["truncate", "--N", "2", "--g", "1e-10", "--delta-g-rel", "0.5", "--tmax-tau", "2e298",
+     "--points", "3"],
+    ["truncate", "--N", "1", "--g", "1.2e308", "--points", "3"],
+    ["appc-report", "--N", "16", "--tmax-tau", "5e307", "--points", "2"],
+    ["oracle-check", "--N", "16", "--tmax-tau", "5e307", "--points", "2"],
+    ["appc-report", "--N", "16", "--g", "3e307", "--points", "2"],
 ], ids=["recur-inf", "cascade-nan", "truncate-1e7-inf", "recur-tiny-g", "recur-late-peak",
-        "cascade-tau-0", "truncate-angle-inf"])
+        "cascade-tau-0", "truncate-angle-inf", "cascade-grid-end-inf", "truncate-grid-end-inf",
+        "truncate-doubled-end-inf", "truncate-rate-inf", "appc-phase-inf", "oracle-phase-inf",
+        "appc-field-inf"])
 def test_non_finite_coupling_maps_to_2(argv):
-    # refused before any draw: no NaN or inf rows, and no numpy
-    # RuntimeWarning from a non-finite coupling table, tau, peak time or
-    # angle reaches stderr
+    # refused before any grid or oracle tile: no NaN or inf rows, and no
+    # numpy RuntimeWarning from a non-finite coupling table, tau, peak time,
+    # angle, grid end or oracle phase reaches stderr
     script = "import sys\nfrom qmeas.cli import main\nsys.exit(main())\n"
     out = subprocess.run([sys.executable, "-W", "default", "-c", script, *argv],
                          capture_output=True, text=True, env=SRC_ENV)
@@ -1173,6 +1190,18 @@ def test_truncate_envelope_past_square_overflow_warns_nothing():
     assert "Warning" not in out.stderr
     last = out.stdout.splitlines()[-1].split(",")
     assert float(last[3]) == 0.0
+
+
+def test_recur_peak_past_half_the_float_range_is_finite():
+    # the last peak t_nu is finite and 2 t_nu is not: the deviations are
+    # doubled in its place
+    out = _run_subprocess(["recur", "--N", "100", "--g", "1e-305", "--delta-g-rel", "0.1",
+                           "--nu-max", "1000", "--format", "json"])
+    assert out.returncode == 0
+    assert out.stderr == ""
+    rows = json.loads(out.stdout)["rows"]
+    assert rows[-1][2] > 0.5 * sys.float_info.max
+    assert all(0.0 <= row[3] <= 1.0 for row in rows)
 
 
 def _freeze_count_at_exit(argv):

@@ -85,6 +85,19 @@ class TestModelValidation:
             self._model(c, 0.05)
 
 
+@pytest.mark.parametrize("g", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("n", [2, 4, 1000])
+@pytest.mark.parametrize("rel", [1e-20, 1e-15, 1e-8, 1e-5])
+def test_small_spreads_are_accepted(rel, n, g):
+    # storing g + dg_n rounds each deviation by up to half an ulp of g, so
+    # the stored RMS of a small spread is checked on the scale of g; at a
+    # tiny or huge g the deviations' squares must neither underflow nor
+    # overflow
+    model = cw.build_model(n, g, rel, 5)
+    assert model.delta_g_rms == rel * g
+    assert np.all(np.abs(model.couplings - g) <= (1e-12 + 10 * rel) * g)
+
+
 class TestTruncationTime:
     def test_two_spin_value(self):
         assert cw.truncation_time(cw.build_model(2, 1.0)) == 0.5
