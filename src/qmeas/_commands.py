@@ -16,7 +16,8 @@ a dict: json.dumps takes numpy floats as floats and the rest through a
 tolist() hook, and the CSV flattener reads each numpy leaf through tolist().
 A grid body (truncate, recur, cascade, appc-report) returns its columns as
 (name, array) pairs, and _emit writes their rows _CHUNK_ROWS at a time, so
-no row object outlives its chunk.
+no row object outlives its chunk.  Without --format, a dict is written as
+JSON and columns as CSV.
 """
 import argparse
 import math
@@ -74,11 +75,12 @@ def _fmt(x: float) -> str:
 _CHUNK_ROWS = 1 << 14
 
 
-def _emit(args, payload, default_format: str) -> None:
+def _emit(args, payload) -> None:
     """Write a body's payload: a dict as one key/value record, (name, column)
     pairs as a header and their rows, _CHUNK_ROWS at a time."""
-    csv = (args.format or default_format) == "csv"
-    if isinstance(payload, dict):
+    record = isinstance(payload, dict)
+    csv = args.format == "csv" if args.format else not record
+    if record:
         parts = [_render_csv(payload) if csv else _render_json(payload)]
     else:
         parts = _grid_rows(payload, csv)
@@ -639,5 +641,5 @@ def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
     return parser.parse_args(tokens + argv)
 
 
-def run(command: str, args: argparse.Namespace, default_format: str) -> None:
-    _emit(args, _COMMANDS[command][1](args), default_format)
+def run(command: str, args: argparse.Namespace) -> None:
+    _emit(args, _COMMANDS[command][1](args))

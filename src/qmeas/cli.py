@@ -50,21 +50,21 @@ def _max_workers() -> int:
     return 1
 
 
-# name -> (one-line help, default output format)
+# name -> one-line help
 _CATALOG = {
-    "truncate": ("transverse decay series", "csv"),
-    "recur": ("recurrence peaks vs damping estimate", "csv"),
-    "cascade": ("spin-magnet correlation cascade", "csv"),
-    "register": ("mean-field magnetization and pointer limit", "json"),
-    "finalstate": ("registered joint state summary", "json"),
-    "born": ("Born weights and sampled frequencies", "json"),
-    "reduce": ("branch and unread reductions", "json"),
-    "ambiguity": ("two-chord decomposition witness", "json"),
-    "dispersionless": ("certain-observable family of a state", "json"),
-    "chsh": ("CHSH combination on the singlet", "json"),
-    "feasible": ("joint-distribution feasibility of a table", "json"),
-    "oracle-check": ("analytic vs dense-evolution deviations", "json"),
-    "appc-report": ("block invariant vs observable decay", "csv"),
+    "truncate": "transverse decay series",
+    "recur": "recurrence peaks vs damping estimate",
+    "cascade": "spin-magnet correlation cascade",
+    "register": "mean-field magnetization and pointer limit",
+    "finalstate": "registered joint state summary",
+    "born": "Born weights and sampled frequencies",
+    "reduce": "branch and unread reductions",
+    "ambiguity": "two-chord decomposition witness",
+    "dispersionless": "certain-observable family of a state",
+    "chsh": "CHSH combination on the singlet",
+    "feasible": "joint-distribution feasibility of a table",
+    "oracle-check": "analytic vs dense-evolution deviations",
+    "appc-report": "block invariant vs observable decay",
 }
 
 
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="ideal quantum measurement simulator: truncation, registration, "
                     "run statistics,\nand verification tools",
         epilog="commands:\n" + "\n".join(f"  {name:<22}{help_line}"
-                                         for name, (help_line, _) in _CATALOG.items()),
+                                         for name, help_line in _CATALOG.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"qmeas {__version__}")
     parser.add_argument("command", choices=_CATALOG, help="one of the commands below")
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             print(f"selftest {top.command}: PASS")
             return 0
-        _commands.run(top.command, args, _CATALOG[top.command][1])
+        _commands.run(top.command, args)
         return 0
     except GuardError as exc:
         print(f"qmeas: guard: {exc}", file=sys.stderr)

@@ -65,6 +65,8 @@ class CurieWeissModel:
     r0: DensityOperator
 
     def __post_init__(self):
+        if not (math.isfinite(self.g) and self.g > 0.0):
+            raise ValidationError("g must be finite and positive")
         c = np.asarray(self.couplings, dtype=np.float64)
         if c.shape != (self.N,):
             raise ValidationError("couplings must have shape (N,)")
@@ -281,8 +283,9 @@ def transverse_expectations(model: CurieWeissModel, times) -> TruncationResult:
     f = offdiag_factor(model, t)
     sx0 = qexpect(model.r0, Observable(SIGMA_X))
     sy0 = qexpect(model.r0, Observable(SIGMA_Y))
-    with np.errstate(under="ignore"):  # F near the subnormal range
-        sx, sy = sx0 * f, sy0 * f
+    # F near the subnormal range underflows as rounding; + 0.0 makes a zero +0.0
+    with np.errstate(under="ignore"):
+        sx, sy = sx0 * f + 0.0, sy0 * f + 0.0
     return TruncationResult(times=t, sx=sx, sy=sy, tau=truncation_time(model), sx0=sx0)
 
 

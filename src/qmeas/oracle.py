@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,11 +35,11 @@ from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
 from .qstate import DensityOperator, weighted_magnetization_diag
 
-# complex128 2^N vectors alive at the peak of a grid pass: 4.5-4.8 for
-# grid_expectations with the invariant (tracemalloc, N = 14..18, three cached
-# float64 sign vectors included).  13 keeps the refusal at N = 23, so the
-# oracle reaches N = 22 as documented, and leaves room for what a caller holds
-# next to the pass
+# complex128 2^N vectors alive at the peak of a grid pass: 4.0-4.3 for
+# grid_expectations (tracemalloc, N = 14..20, three float64 sign vectors and
+# two phase tiles included).  13 keeps the refusal at N = 23, so the oracle
+# reaches N = 22 as documented, and leaves room for what a caller holds next
+# to the pass
 _DIAG_VECTORS = 13
 # complex128 4^N matrices alive at the peak of joint_state: four for the
 # 2^(N+1)-square joint, four for DensityOperator's copy and eight for its
@@ -123,48 +122,18 @@ def _phase_tiles(model: CurieWeissModel, times) -> Iterator[tuple[np.ndarray, np
         yield t, phase
 
 
-@lru_cache(maxsize=3)
 def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
-    # the sigma_z-product diagonal as float64 +-1, cached: a run asks for the
-    # same subsets (k = 1..3 in oracle-check and appc-report) at every tile
+    # the sigma_z product over a magnet subset, a tuple of ints, as its
+    # float64 +-1 diagonal; the int64 work is done in place, two arrays at most
     a = np.arange(2**n_spins)
     parity = np.zeros_like(a)
     for n in subset:
         parity ^= a >> n
-    z = (1 - 2 * (parity & 1)).astype(np.float64)
-    z.setflags(write=False)
-    return z
-
-
-def _observables(rows: np.ndarray, weight: complex, subsets: Iterable[tuple] = (),
-                 invariant: bool = False) -> dict:
-    """Observables of each row, as arrays over the rows, keyed "f", "sx",
-    "sy", (subset, "x") and (subset, "y") for the cascade correlators and,
-    with invariant, "invariant_deviation".
-
-    weight * rows is the weighted block W_01 and rows / 2^N the bare block
-    R_01, stored as diagonals: F = tr R_01, and <s_a (x) O> picks the
-    up-down block, 2 Re tr(W_01 O) for s_x and -2 Im tr(W_01 O) for s_y (the
-    conjugate block carries the other half).  Cascade correlators take O as
-    the sigma_z product over each magnet subset, a tuple of ints; the
-    invariant deviation is the largest entry of |R R^dagger - I/2^(2N)|.
-    """
-    dim = rows.shape[1]
-    n_spins = dim.bit_length() - 1
-    norm = 1.0 / dim
-    s = rows.sum(axis=1)
-    tr = weight * s
-    out = {"f": (norm * s).real, "sx": 2.0 * tr.real, "sy": -2.0 * tr.imag}
-    # (re, im) pairs, so that the float signs meet the rows in one product
-    pairs = rows.view(np.float64).reshape(rows.shape[0], dim, 2)
-    for key in subsets:
-        c = weight * (_zprod_signs(n_spins, key) @ pairs).view(np.complex128)[:, 0]
-        out[key, "x"], out[key, "y"] = 2.0 * c.real, -2.0 * c.imag
-    if invariant:
-        # a diagonal block's Gram matrix is |R|^2 on the diagonal
-        gram = (np.abs(rows) * norm) ** 2
-        out["invariant_deviation"] = np.max(np.abs(gram - 1.0 / dim**2), axis=1)
-    return out
+    del a
+    parity &= 1
+    parity *= -2
+    parity += 1
+    return parity.astype(np.float64)
 
 
 def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = (),
@@ -172,21 +141,45 @@ def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = 
     """Observables over a whole time grid, tile by tile: "f", "sx" and "sy"
     are arrays over the times, and "cascade" maps each magnet subset to its
     (x, y) correlator arrays.  With invariant, "invariant_deviation" holds
-    the Appendix C check per time.  Past the tile, memory grows only by these
-    arrays."""
+    the largest entry of |R R^dagger - I/2^(2N)| per time.
+
+    A tile's rows / 2^N are the bare block R_01 as diagonals and weight *
+    rows the weighted block W_01: F = tr R_01, and <s_a (x) O> picks the
+    up-down block, 2 Re tr(W_01 O) for s_x and -2 Im tr(W_01 O) for s_y (the
+    conjugate block carries the other half), with O the sigma_z product
+    over a subset for the cascade.  Past one tile and the subsets' signs,
+    memory grows only by the output arrays."""
     w = _sector_weights(model)
     dim = 2**model.N
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if times.size == 0:
         raise ValidationError("no times supplied")
-    subsets = [tuple(int(n) for n in s) for s in subsets]
-    flat, lo = {}, 0
-    for t, phase in _phase_tiles(model, times):
-        for key, v in _observables(phase, w[0, 1] / dim, subsets, invariant).items():
-            flat.setdefault(key, np.empty(times.size))[lo:lo + t.size] = v
-        lo += t.size
-    out = {key: v for key, v in flat.items() if isinstance(key, str)}
-    out["cascade"] = {s: (flat[s, "x"], flat[s, "y"]) for s in subsets}
+    cascade = {tuple(int(n) for n in s): (np.empty(times.size), np.empty(times.size))
+               for s in subsets}
+    signs = [_zprod_signs(model.N, s) for s in cascade]
+    weight, norm = w[0, 1] / dim, 1.0 / dim
+    f, sx, sy, dev = (np.empty(times.size) for _ in range(4))
+    lo = 0
+    for t, rows in _phase_tiles(model, times):
+        hi = lo + t.size
+        s = rows.sum(axis=1)
+        tr = weight * s
+        f[lo:hi], sx[lo:hi], sy[lo:hi] = (norm * s).real, 2.0 * tr.real, -2.0 * tr.imag
+        # (re, im) pairs, so that the float signs meet the rows in one product
+        pairs = rows.view(np.float64).reshape(t.size, dim, 2)
+        for z, (x, y) in zip(signs, cascade.values()):
+            c = weight * (z @ pairs).view(np.complex128)[:, 0]
+            x[lo:hi], y[lo:hi] = 2.0 * c.real, -2.0 * c.imag
+        if invariant:
+            # a diagonal block's Gram matrix is |R|^2 on the diagonal
+            dev[lo:hi] = np.max(np.abs((np.abs(rows) * norm) ** 2 - 1.0 / dim**2), axis=1)
+        lo = hi
+        # the generator is left the tile's only holder, and drops it once it
+        # has allocated the next
+        del rows, pairs
+    out = {"f": f, "sx": sx, "sy": sy, "cascade": cascade}
+    if invariant:
+        out["invariant_deviation"] = dev
     return out
 
 

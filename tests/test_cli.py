@@ -458,7 +458,8 @@ class TestSelftests:
     def test_oracle_selftests_see_a_fault(self, capsys, monkeypatch, command, fault):
         # "phase" rotates every phase by 0.01 rad, which keeps |R| and so the
         # invariant exact but moves F, s_x and the joint state; "observables"
-        # shifts every grid reading by 1e-9 and leaves the joint state alone
+        # shifts every grid reading, cascade pairs included, by 1e-9 and
+        # leaves the joint state alone
         if fault == "phase":
             tiles = oracle._phase_tiles
 
@@ -468,12 +469,15 @@ class TestSelftests:
 
             monkeypatch.setattr(oracle, "_phase_tiles", rotated)
         else:
-            observables = oracle._observables
+            expectations = oracle.grid_expectations
 
             def shifted(*args, **kwargs):
-                return {k: v + 1e-9 for k, v in observables(*args, **kwargs).items()}
+                obs = expectations(*args, **kwargs)
+                out = {k: v + 1e-9 for k, v in obs.items() if k != "cascade"}
+                out["cascade"] = {s: (x + 1e-9, y + 1e-9) for s, (x, y) in obs["cascade"].items()}
+                return out
 
-            monkeypatch.setattr(oracle, "_observables", shifted)
+            monkeypatch.setattr(oracle, "grid_expectations", shifted)
         code, out, err = run_cli(capsys, command, "--selftest")
         assert code == 1
         assert out == ""
@@ -588,6 +592,25 @@ class TestOutputs:
         first = [float(v) for v in body[1].split(",")]
         assert first[0] == 0.0
         assert first[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r0", ["+x", "+y"])
+    def test_truncate_zeros_are_unsigned(self, capsys, r0):
+        # the component r0 lacks is an exact zero in every row, and F < 0 in
+        # some: it is +0.0 all the same, and the output prints 0, not -0
+        argv = ["--N", "1", "--points", "5", "--tmax-tau", "8", "--r0", r0]
+        code, out, _ = run_cli(capsys, "truncate", *argv, "--format", "json")
+        assert code == 0
+        model, grid = _commands._model_and_grid(_commands.parse("truncate", argv, {}))
+        res = curie_weiss.transverse_expectations(model, grid)
+        assert np.any(curie_weiss.offdiag_factor(model, grid) < 0.0)
+        zero = res.sy if r0 == "+x" else res.sx
+        assert np.all(zero == 0.0)
+        printed = np.array(json.loads(out)["rows"])
+        for col in (res.sx, res.sy, printed):
+            assert not np.signbit(col[col == 0.0]).any()
+        code, out, _ = run_cli(capsys, "truncate", *argv)
+        assert code == 0
+        assert "-0" not in strip_version_header(out).replace("\n", ",").split(",")
 
     def test_csv_determinism_modulo_header(self, capsys):
         _, out1, _ = run_cli(capsys, "truncate", "--N", "50", "--points", "9")

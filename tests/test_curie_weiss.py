@@ -63,9 +63,15 @@ class TestModelValidation:
 
     N = 2 * cw._POWER_BLOCK + 3
 
-    def _model(self, couplings, rms):
-        return cw.CurieWeissModel(N=self.N, g=1.0, couplings=couplings, delta_g_rms=rms,
+    def _model(self, couplings, rms, g=1.0):
+        return cw.CurieWeissModel(N=self.N, g=g, couplings=couplings, delta_g_rms=rms,
                                   seed=None, r0=bloch_state((1, 0, 0)))
+
+    # nan and inf pass the zero-mean and RMS checks, whose comparisons are False
+    @pytest.mark.parametrize("g", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_g_rejected(self, g):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            self._model(np.ones(self.N), 0.0, g)
 
     def test_nonzero_mean_rejected(self):
         c = np.ones(self.N)
