@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .qstate import SIGMA_X, SIGMA_Y, DensityOperator, Observable, bloch_state, qexpect
+from .qstate import DensityOperator, bloch_state
 
 # largest N for the analytic (product-form) path; beyond this the per-call
 # cost and coupling storage stop being interactive
@@ -281,8 +281,7 @@ def transverse_expectations(model: CurieWeissModel, times) -> TruncationResult:
     if not np.all(np.isfinite(t)):
         raise ValidationError("times must be finite")
     f = offdiag_factor(model, t)
-    sx0 = qexpect(model.r0, Observable(SIGMA_X))
-    sy0 = qexpect(model.r0, Observable(SIGMA_Y))
+    sx0, sy0 = _cascade_coefficients(model.r0, 0)
     # F near the subnormal range underflows as rounding; + 0.0 makes a zero +0.0
     with np.errstate(under="ignore"):
         sx, sy = sx0 * f + 0.0, sy0 * f + 0.0
@@ -310,7 +309,8 @@ def recurrence_profile(model: CurieWeissModel, nu_max: int) -> RecurrenceProfile
 
 
 def _cascade_coefficients(r0: DensityOperator, k: int) -> tuple[float, float]:
-    # 2 Re[i^k r_ud(0)] cycles through (sx0, sy0, -sx0, -sy0) with k mod 4
+    # 2 Re[i^k r_ud(0)] cycles through (sx0, sy0, -sx0, -sy0) with k mod 4;
+    # k = 0, the bare tested spin, gives (sx0, sy0)
     r_ud = complex(r0.matrix[0, 1])
     seq = (2.0 * r_ud.real, -2.0 * r_ud.imag, -2.0 * r_ud.real, 2.0 * r_ud.imag)
     return seq[k % 4], seq[(k + 1) % 4]

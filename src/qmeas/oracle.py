@@ -9,13 +9,13 @@ pure dephasing.  The diagonal blocks W_ii = r_ii I/2^N never move, and the
 off-diagonal block is W_01(t) = (r_01/2^N) e^{-it(K_0 - K_1)}: one phase per
 basis state and time, with no time-stepping error.
 
-A time grid is evaluated in tiles of at most _TILE complex entries per
-numpy call: the phase rows come from np.cos and np.sin of the outer product
-of times and K_1 - K_0, and F, s_x, s_y, the cascade correlators and the
-Appendix C invariant R R^dagger = I/2^(2N) are row sums and matrix-vector
-products over the tile (grid_expectations, appendix_c_grid).  Everything the
-analytic layer claims (F, transverse series, cascade correlators) is
-recomputed here from the 2^N basis sums and compared.
+A time grid is evaluated in one tile of at most _TILE complex entries,
+refilled at every step with phase rows formed by doubling over the spins,
+and F, s_x, s_y, the cascade correlators and the Appendix C invariant
+R R^dagger = I/2^(2N) are row sums and matrix-vector products over the tile
+(grid_expectations, appendix_c_grid).  Everything the analytic layer claims
+(F, transverse series, cascade correlators) is recomputed here from the 2^N
+basis sums and compared.
 
 joint_state assembles the full 2^(N+1)-square density operator at one time
 from one phase row, as a dense reference at small N.
@@ -33,13 +33,13 @@ import numpy as np
 
 from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
-from .qstate import DensityOperator, weighted_magnetization_diag
+from .qstate import DensityOperator
 
-# complex128 2^N vectors alive at the peak of a grid pass: 4.0-4.3 for
-# grid_expectations (tracemalloc, N = 14..20, three float64 sign vectors and
-# two phase tiles included).  13 keeps the refusal at N = 23, so the oracle
-# reaches N = 22 as documented, and leaves room for what a caller holds next
-# to the pass
+# complex128 2^N vectors alive at the peak of a grid pass: 2.5 for
+# grid_expectations (tracemalloc, N = 14..20, one phase tile and three
+# float64 sign vectors), 3.5 with the invariant's float temporaries.  13
+# keeps the refusal at N = 23, so the oracle reaches N = 22 as documented,
+# and leaves room for what a caller holds next to the pass
 _DIAG_VECTORS = 13
 # complex128 4^N matrices alive at the peak of joint_state: four for the
 # 2^(N+1)-square joint, four for DensityOperator's copy and eight for its
@@ -47,10 +47,10 @@ _DIAG_VECTORS = 13
 _JOINT_MATRICES = 16
 
 _TRACE_TOL = 1e-12
-# complex entries per numpy call of the tile core: a tile holds _TILE // 2^N
-# times (one time from N = 13 on, its phase filled in slices of _TILE), so
-# below N = 13 a grid's temporaries stay near 0.5 MB whatever its length
-# (tracemalloc, N = 10, with the invariant and three cascade subsets)
+# complex entries of a phase tile: a tile holds _TILE // 2^N times (one
+# time of 2^N entries from N = 13 on), so below N = 13 a grid's temporaries
+# stay near 0.5 MB whatever its length (tracemalloc, N = 10, with the
+# invariant and three cascade subsets)
 _TILE = 1 << 13
 _APPC_DEVIATION_TOL = 1e-12  # appendix_c_grid: largest deviation of an intact invariant
 _APPC_MAX_K = 3  # and the largest cascade order it records
@@ -97,29 +97,30 @@ def _sector_weights(model: CurieWeissModel) -> np.ndarray:
 
 def _phase_tiles(model: CurieWeissModel, times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(t, phase) per tile of the grid: phase[r, j] = e^{-i t_r (K_0 - K_1)_j}
-    on basis state j, one cos and one sin per entry.
+    on basis state j, the product over spins of e^{+-2i g_n t_r}.
 
     Tested sectors are ordered (+1, -1); coupling favors magnetization with
     the tested spin's sign, so sector s gets the field -s * sum_n g_n sigma_z
-    and K_1 - K_0 = 2 sum_n g_n sigma_z.
+    and K_1 - K_0 = 2 sum_n g_n sigma_z.  Bit n of j is 0 where
+    sigma_z^(n) = +1 (qstate.weighted_magnetization_diag's order).  The one
+    tile is refilled at every step: read it before asking for the next.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     # |t (K_1 - K_0)| rounds to at most 2 sum_n g_n max|t|
     if not math.isfinite(2.0 * sum(model.couplings.tolist()) * float(np.max(np.abs(times)))):
         raise ValidationError("the phase t (K_1 - K_0) must be finite; lower the grid end or g")
-    dk = weighted_magnetization_diag(model.couplings)
-    dk *= 2.0
-    cols = min(dk.size, _TILE)
-    rows = _TILE // cols
-    angle = np.empty((rows, cols))
-    for lo in range(0, times.size, rows):
-        t = times[lo:lo + rows]
-        phase = np.empty((t.size, dk.size), dtype=np.complex128)
-        for c in range(0, dk.size, cols):
-            a = np.multiply.outer(t, dk[c:c + cols], out=angle[:t.size])
-            np.cos(a, out=phase[:, c:c + cols].real)
-            np.sin(a, out=phase[:, c:c + cols].imag)
-        yield t, phase
+    dim = 2**model.N
+    phase = np.empty((max(1, _TILE // dim), dim), dtype=np.complex128)
+    for lo in range(0, times.size, len(phase)):
+        t = times[lo:lo + len(phase)]
+        rows = phase[:t.size]
+        z = np.exp(2j * np.multiply.outer(t, model.couplings))
+        rows[:, 0] = 1.0
+        for n in range(model.N):
+            h = 2**n
+            np.multiply(rows[:, :h], z[:, n, None].conj(), out=rows[:, h:2 * h])
+            rows[:, :h] *= z[:, n, None]
+        yield t, rows
 
 
 def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
@@ -174,9 +175,6 @@ def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = 
             # a diagonal block's Gram matrix is |R|^2 on the diagonal
             dev[lo:hi] = np.max(np.abs((np.abs(rows) * norm) ** 2 - 1.0 / dim**2), axis=1)
         lo = hi
-        # the generator is left the tile's only holder, and drops it once it
-        # has allocated the next
-        del rows, pairs
     out = {"f": f, "sx": sx, "sy": sy, "cascade": cascade}
     if invariant:
         out["invariant_deviation"] = dev

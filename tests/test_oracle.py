@@ -8,7 +8,8 @@ from qmeas import cli
 from qmeas import curie_weiss as cw
 from qmeas import oracle
 from qmeas.errors import GuardError, ValidationError
-from qmeas.qstate import DensityOperator, bloch_state, partial_trace, vn_entropy
+from qmeas.qstate import (DensityOperator, bloch_state, partial_trace, vn_entropy,
+                          weighted_magnetization_diag)
 
 
 def spread_model(n, seed=3, r0=(0.4, -0.5, 0.3)):
@@ -283,6 +284,31 @@ class TestTiles:
         assert peaks[2000] < 2**20
         # ten float64 output arrays grow by 1800 entries each
         assert peaks[2000] - peaks[200] < 16 * 8 * 1800
+
+    @pytest.mark.parametrize("invariant, bound", [(False, 3.0), (True, 3.75)])
+    def test_working_set_in_2n_vectors(self, invariant, bound):
+        # one phase tile and three float64 sign vectors, 2.5 complex 2^N
+        # vectors, and the invariant's float temporaries on top: 3.5
+        model = spread_model(16)
+        times = np.linspace(0.0, 3.0, 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            oracle.grid_expectations(model, times, self.SUBSETS[:3], invariant=invariant)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * 2**16
+
+    @pytest.mark.parametrize("n", [2, 8, 14])
+    def test_product_phase_matches_the_field(self, n):
+        # the per-spin product against e^{it(K_1 - K_0)} taken from the 2^N
+        # field 2 sum_n g_n sigma_z, up to a largest angle of 10
+        model = spread_model(n)
+        field = 2.0 * weighted_magnetization_diag(model.couplings)
+        times = np.linspace(0.0, 10.0 / np.max(np.abs(field)), 37)
+        for t, rows in oracle._phase_tiles(model, times):
+            assert np.max(np.abs(rows - np.exp(1j * np.multiply.outer(t, field)))) <= 1e-14
 
     @pytest.mark.parametrize("r0", [(0.4, -0.5, 0.3), (0.9, 0.1, 0.2), (0.3, 0.7, 0.1)])
     def test_time_zero_row_is_exact_under_raise(self, r0):
