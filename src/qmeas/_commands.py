@@ -624,6 +624,9 @@ def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
     checks both alike and a flag in argv, parsed later, wins.  configparser
     lowercases keys, so `N = 20` arrives as n: settings match option dests
     case-insensitively (no command has two dests that differ only in case).
+    argparse reads a token that begins with a single "-" as an option, so
+    one that follows a value-taking option in argv is joined to it the same
+    way: `--r0 -x` becomes `--r0=-x`.
     """
     parser = argparse.ArgumentParser(prog=f"qmeas {command}")
     _add_common(parser)
@@ -638,7 +641,14 @@ def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
             tokens.append(f"{option}={raw}")
         elif raw.strip().lower() in ("1", "true", "yes", "on"):
             tokens.append(option)
-    return parser.parse_args(tokens + argv)
+    takes_value = {o for action in parser._actions if action.nargs is None
+                   for o in action.option_strings}
+    for token in argv:
+        if tokens and tokens[-1] in takes_value and token[:1] == "-" and token[:2] != "--":
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return parser.parse_args(tokens)
 
 
 def run(command: str, args: argparse.Namespace) -> None:

@@ -13,9 +13,12 @@ A time grid is evaluated in one tile of at most _TILE complex entries,
 refilled at every step with phase rows formed by doubling over the spins,
 and F, s_x, s_y, the cascade correlators and the Appendix C invariant
 R R^dagger = I/2^(2N) are row sums and matrix-vector products over the tile
-(grid_expectations, appendix_c_grid).  Everything the analytic layer claims
-(F, transverse series, cascade correlators) is recomputed here from the 2^N
-basis sums and compared.
+(grid_expectations, appendix_c_grid).  A cascade sign factors over the low
+and high halves of the bits, so it needs two 2^(N/2) vectors, not a 2^N
+one: a pass holds 1.0 complex 2^N vectors, 1.5 with the invariant's float
+buffer.  Everything the analytic layer claims (F, transverse series,
+cascade correlators) is recomputed here from the 2^N basis sums and
+compared.
 
 joint_state assembles the full 2^(N+1)-square density operator at one time
 from one phase row, as a dense reference at small N.
@@ -35,11 +38,11 @@ from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
 from .qstate import DensityOperator
 
-# complex128 2^N vectors alive at the peak of a grid pass: 2.5 for
-# grid_expectations (tracemalloc, N = 14..20, one phase tile and three
-# float64 sign vectors), 3.5 with the invariant's float temporaries.  13
-# keeps the refusal at N = 23, so the oracle reaches N = 22 as documented,
-# and leaves room for what a caller holds next to the pass
+# complex128 2^N vectors alive at the peak of a grid pass: 1.0 for
+# grid_expectations (tracemalloc, N = 14..20, one phase tile; the cascade's
+# signs are 2^(N/2) entries), 1.5 with the invariant's float buffer.  13
+# still keeps the refusal at N = 23, so the oracle reaches N = 22 as
+# documented, and leaves room for what a caller holds next to the pass
 _DIAG_VECTORS = 13
 # complex128 4^N matrices alive at the peak of joint_state: four for the
 # 2^(N+1)-square joint, four for DensityOperator's copy and eight for its
@@ -123,18 +126,13 @@ def _phase_tiles(model: CurieWeissModel, times) -> Iterator[tuple[np.ndarray, np
         yield t, rows
 
 
-def _zprod_signs(n_spins: int, subset: tuple) -> np.ndarray:
-    # the sigma_z product over a magnet subset, a tuple of ints, as its
-    # float64 +-1 diagonal; the int64 work is done in place, two arrays at most
-    a = np.arange(2**n_spins)
-    parity = np.zeros_like(a)
-    for n in subset:
-        parity ^= a >> n
-    del a
-    parity &= 1
-    parity *= -2
-    parity += 1
-    return parity.astype(np.float64)
+def _zprod_signs(n_bits: int, bits) -> np.ndarray:
+    # the sigma_z product over the positions in bits below n_bits, as the +-1
+    # diagonal on an n_bits index; complex, so it meets the tile uncast
+    z = np.ones(1, dtype=np.complex128)
+    for n in range(n_bits):
+        z = np.concatenate((z, -z if bits.count(n) % 2 else z))
+    return z
 
 
 def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = (),
@@ -148,8 +146,8 @@ def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = 
     rows the weighted block W_01: F = tr R_01, and <s_a (x) O> picks the
     up-down block, 2 Re tr(W_01 O) for s_x and -2 Im tr(W_01 O) for s_y (the
     conjugate block carries the other half), with O the sigma_z product
-    over a subset for the cascade.  Past one tile and the subsets' signs,
-    memory grows only by the output arrays."""
+    over a subset for the cascade, its signs one short vector per half of the
+    bits.  Past one tile, memory grows only by the output arrays."""
     w = _sector_weights(model)
     dim = 2**model.N
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
@@ -157,7 +155,9 @@ def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = 
         raise ValidationError("no times supplied")
     cascade = {tuple(int(n) for n in s): (np.empty(times.size), np.empty(times.size))
                for s in subsets}
-    signs = [_zprod_signs(model.N, s) for s in cascade]
+    low = model.N // 2
+    signs = [(_zprod_signs(low, s), _zprod_signs(model.N - low, [n - low for n in s]))
+             for s in cascade]
     weight, norm = w[0, 1] / dim, 1.0 / dim
     f, sx, sy, dev = (np.empty(times.size) for _ in range(4))
     lo = 0
@@ -166,14 +166,20 @@ def grid_expectations(model: CurieWeissModel, times, subsets: Iterable[tuple] = 
         s = rows.sum(axis=1)
         tr = weight * s
         f[lo:hi], sx[lo:hi], sy[lo:hi] = (norm * s).real, 2.0 * tr.real, -2.0 * tr.imag
-        # (re, im) pairs, so that the float signs meet the rows in one product
-        pairs = rows.view(np.float64).reshape(t.size, dim, 2)
-        for z, (x, y) in zip(signs, cascade.values()):
-            c = weight * (z @ pairs).view(np.complex128)[:, 0]
+        halves = rows.reshape(t.size, -1, 2**low)
+        for (z_lo, z_hi), (x, y) in zip(signs, cascade.values()):
+            c = weight * ((halves @ z_lo) * z_hi).sum(axis=1)
             x[lo:hi], y[lo:hi] = 2.0 * c.real, -2.0 * c.imag
         if invariant:
-            # a diagonal block's Gram matrix is |R|^2 on the diagonal
-            dev[lo:hi] = np.max(np.abs((np.abs(rows) * norm) ** 2 - 1.0 / dim**2), axis=1)
+            # a diagonal block's Gram matrix is |R|^2 on the diagonal, formed
+            # in one float buffer, dropped before the next tile
+            a = np.abs(rows)
+            a *= norm
+            np.square(a, out=a)
+            a -= 1.0 / dim**2
+            np.abs(a, out=a)
+            dev[lo:hi] = a.max(axis=1)
+            del a
         lo = hi
     out = {"f": f, "sx": sx, "sy": sy, "cascade": cascade}
     if invariant:

@@ -320,6 +320,14 @@ def _selftest_oracle_check():
     spin = partial_trace(oracle.joint_state(model, times[2]), [0]).matrix
     _check(abs(2.0 * spin[0, 1].real - obs["sx"][2]) <= 1e-12,
            "the joint state's s_x must match the grid's")
+    # N = 3: <s (x) sigma_z^(0)> = (0, -sin 2t cos^2 2t) and, across the
+    # halves of the bits, <s (x) sigma_z^(0) sigma_z^(2)> = (-sin^2 2t cos 2t, 0)
+    model3 = curie_weiss.build_model(3, 1.0, 0.0, 0, bloch_state((1, 0, 0)))
+    cascade = oracle.grid_expectations(model3, times, [(0,), (0, 2)])["cascade"]
+    sin, cos, zero = np.sin(2.0 * times), np.cos(2.0 * times), np.zeros(times.size)
+    expected = {(0,): (zero, -sin * cos**2), (0, 2): (-sin**2 * cos, zero)}
+    _check(all(np.max(np.abs(np.subtract(cascade[s], expected[s]))) <= 1e-12 for s in expected),
+           "the grid's cascade must match its closed form at N = 3")
 
 
 def _selftest_appc_report():

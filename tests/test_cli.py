@@ -99,6 +99,19 @@ class TestConfig:
         first = strip_version_header(out).splitlines()[1].split(",")
         assert (first[0], first[1]) == ("0", "-1")
 
+    @pytest.mark.parametrize("argv", [("reduce", "--r0", "-x"), ("born", "--r0", "-0.5,0,0"),
+                                      ("register", "--field", "-1e-3"),
+                                      ("feasible", "--correlators", "-0.5,0,0,0")],
+                             ids=["reduce", "born", "register", "feasible"])
+    def test_flag_value_may_start_with_a_dash(self, capsys, argv):
+        command, option, value = argv
+        code, out, _ = run_cli(capsys, command, option, value)
+        assert code == 0
+        joined = run_cli(capsys, command, f"{option}={value}")
+        assert joined == (0, out, "")
+        assert _exit_code(["truncate", "--points"]) == 2
+        assert "--points: expected one argument" in capsys.readouterr().err
+
     def test_config_supplies_defaults(self, capsys, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[run]\ncommand = born\n[born]\nr0 = 0,0,0.6\nruns = 50\nseed = 9\n")
@@ -453,14 +466,20 @@ class TestSelftests:
         assert out == ""
         assert err.startswith("selftest chsh: FAIL")
 
-    @pytest.mark.parametrize("fault", ["phase", "observables"])
-    @pytest.mark.parametrize("command", ["oracle-check", "appc-report"])
+    @pytest.mark.parametrize("command, fault", [
+        ("oracle-check", "phase"), ("oracle-check", "observables"),
+        ("oracle-check", "cascade-signs"), ("appc-report", "phase"),
+        ("appc-report", "observables")])
     def test_oracle_selftests_see_a_fault(self, capsys, monkeypatch, command, fault):
         # "phase" rotates every phase by 0.01 rad, which keeps |R| and so the
         # invariant exact but moves F, s_x and the joint state; "observables"
         # shifts every grid reading, cascade pairs included, by 1e-9 and
-        # leaves the joint state alone
-        if fault == "phase":
+        # leaves the joint state alone; "cascade-signs" makes every sigma_z
+        # product the identity, which moves only the cascade
+        if fault == "cascade-signs":
+            monkeypatch.setattr(oracle, "_zprod_signs",
+                                lambda n_bits, bits: np.ones(2**n_bits, dtype=np.complex128))
+        elif fault == "phase":
             tiles = oracle._phase_tiles
 
             def rotated(model, times):
