@@ -152,7 +152,8 @@ def _flatten_for_csv(obj, prefix=""):
 # layers' arrays, since _emit holds one chunk of rows at a time.  tracemalloc
 # past imports, --out, CSV and JSON alike: oracle-check 277-279 (N = 4 and
 # 8, 2e4-2e5 points); at 2e5 points, one chunk's text included, cascade
-# --k 3 173, appc-report 97-130, recur 93-102, truncate 81-90
+# --k 3 173, appc-report 97-130, recur 93-102, truncate 57-63 at N = 1e4
+# and 145-158 at N = 4 and 8 (its value's copies of the columns included)
 _POINT_BYTES = 300
 
 
@@ -194,12 +195,12 @@ def _cmd_truncate(args) -> list:
 
     from . import curie_weiss
 
-    model, grid = _model_and_grid(args)
-    res = curie_weiss.transverse_expectations(model, grid)
+    # the result holds its own copy of the grid, and the only one kept
+    res = curie_weiss.transverse_expectations(*_model_and_grid(args))
     # (t/tau)^2 overflows past t/tau ~ 1.3e154; the envelope is exactly 0 long
     # before, so the ratio is capped where its square is still finite
-    env = res.sx0 * np.exp(-(np.minimum(grid / res.tau, 1e154) ** 2))
-    return [("t", grid), ("sx", res.sx), ("sy", res.sy), ("gaussian_envelope", env)]
+    env = res.sx0 * np.exp(-(np.minimum(res.times / res.tau, 1e154) ** 2))
+    return [("t", res.times), ("sx", res.sx), ("sy", res.sy), ("gaussian_envelope", env)]
 
 
 def _cmd_recur(args) -> list:
@@ -616,6 +617,13 @@ def configure(argv: list[str]) -> tuple[list[str], dict]:
     return (argv if named else [command] + argv), settings
 
 
+def _parser(command: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"qmeas {command}")
+    _add_common(parser)
+    _COMMANDS[command][0](parser)
+    return parser
+
+
 def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
     """The command's options from the config file's settings and argv, by
     the command's own parser.
@@ -624,13 +632,15 @@ def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
     checks both alike and a flag in argv, parsed later, wins.  configparser
     lowercases keys, so `N = 20` arrives as n: settings match option dests
     case-insensitively (no command has two dests that differ only in case).
-    argparse reads a token that begins with a single "-" as an option, so
-    one that follows a value-taking option in argv is joined to it the same
-    way: `--r0 -x` becomes `--r0=-x`.
+    A key of another command passes, so one file serves several commands; a
+    key of none is refused.  argparse reads a token that begins with a single
+    "-" as an option, so one that follows a value-taking option (or a prefix
+    argparse resolves to one) is joined to it: `--r0 -x` becomes `--r0=-x`.
     """
-    parser = argparse.ArgumentParser(prog=f"qmeas {command}")
-    _add_common(parser)
-    _COMMANDS[command][0](parser)
+    parser = _parser(command)
+    for key in sorted(set(settings) - {a.dest.lower() for a in parser._actions}):
+        if all(key not in {a.dest.lower() for a in _parser(name)._actions} for name in _COMMANDS):
+            raise ValidationError(f"config key {key!r} names no option of any command")
     tokens = []
     for action in parser._actions:
         raw = settings.get(action.dest.lower())
@@ -641,10 +651,16 @@ def parse(command: str, argv: list[str], settings: dict) -> argparse.Namespace:
             tokens.append(f"{option}={raw}")
         elif raw.strip().lower() in ("1", "true", "yes", "on"):
             tokens.append(option)
-    takes_value = {o for action in parser._actions if action.nargs is None
+    takes_value = {o: action.nargs is None for action in parser._actions
                    for o in action.option_strings}
+
+    def wants_value(option: str) -> bool:
+        # as argparse resolves it: spelled in full, or the one option a -- prefix starts
+        named = [o for o in takes_value if option[:2] == "--" and o.startswith(option)]
+        return takes_value.get(option, len(named) == 1 and takes_value[named[0]])
+
     for token in argv:
-        if tokens and tokens[-1] in takes_value and token[:1] == "-" and token[:2] != "--":
+        if tokens and token[:1] == "-" and token[:2] != "--" and wants_value(tokens[-1]):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

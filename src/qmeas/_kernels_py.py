@@ -74,6 +74,6 @@ def trig_product_direct(coeffs: np.ndarray, times: np.ndarray, sin_mask=None) ->
         angles = coeffs * t
         vals = np.cos(angles)
         if sin_mask is not None:
-            vals = np.where(sin_mask.astype(bool), np.sin(angles), vals)
+            vals = np.where(sin_mask, np.sin(angles), vals)
         out[j] = float(np.prod(vals))
     return out

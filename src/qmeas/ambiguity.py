@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import DensityOperator, Observable, bloch_state, bloch_vector
+from .qstate import DensityOperator, Observable, bloch_state, bloch_vector, readonly
 
 RANK_TOL = 1e-10
 
@@ -34,9 +34,7 @@ class ChordDecomposition:
 
     def __post_init__(self):
         for name in ("v", "direction", "v1", "v2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(getattr(self, name)))
         with np.errstate(under="ignore"):  # tiny components round to 0
             norms = np.linalg.norm(self.v1), np.linalg.norm(self.v2)
             recon = self.rho1 * self.v1 + self.rho2 * self.v2

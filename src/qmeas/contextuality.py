@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import PAULI, DensityOperator, Observable, pure_state, qexpect, tensor
+from .qstate import PAULI, DensityOperator, Observable, pure_state, qexpect, readonly, tensor
 
 _BOUND_TOL = 1e-12
 
@@ -31,12 +31,11 @@ class DirectionPair:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = readonly(getattr(self, name))
             if arr.shape != (3,):
                 raise ValidationError("axes must be 3-vectors")
             if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
                 raise ValidationError("axes must be unit vectors")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
@@ -53,11 +52,11 @@ class CorrelatorTable:
     marginals_b: np.ndarray = None
 
     def __post_init__(self):
-        corr = np.asarray(self.correlators, dtype=np.float64)
+        corr = readonly(self.correlators)
         if corr.shape != (2, 2):
             raise ValidationError("correlators must form a 2x2 table")
-        ma = np.zeros(2) if self.marginals_a is None else np.asarray(self.marginals_a, float)
-        mb = np.zeros(2) if self.marginals_b is None else np.asarray(self.marginals_b, float)
+        ma = readonly((0.0, 0.0) if self.marginals_a is None else self.marginals_a)
+        mb = readonly((0.0, 0.0) if self.marginals_b is None else self.marginals_b)
         if ma.shape != (2,) or mb.shape != (2,):
             raise ValidationError("marginals must have two entries per side")
         for arr in (corr, ma, mb):
@@ -65,9 +64,6 @@ class CorrelatorTable:
                 raise ValidationError("correlators and marginals must be finite")
             if np.any(np.abs(arr) > 1.0 + _BOUND_TOL):
                 raise ValidationError("correlators and marginals must lie in [-1, 1]")
-        corr.setflags(write=False)
-        ma.setflags(write=False)
-        mb.setflags(write=False)
         object.__setattr__(self, "correlators", corr)
         object.__setattr__(self, "marginals_a", ma)
         object.__setattr__(self, "marginals_b", mb)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ValidationError
-from .qstate import DensityOperator, bloch_state
+from .qstate import DensityOperator, bloch_state, readonly
 
 # largest N for the analytic (product-form) path; beyond this the per-call
 # cost and coupling storage stop being interactive
@@ -92,8 +92,7 @@ class CurieWeissModel:
             raise ValidationError("delta_g_rms does not match the stored couplings")
         if self.r0.matrix.shape != (2, 2):
             raise ValidationError("r0 must be a 2x2 density operator")
-        c.setflags(write=False)
-        object.__setattr__(self, "couplings", c)
+        object.__setattr__(self, "couplings", readonly(c))
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,11 @@ class TruncationResult:
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValidationError("tau must be positive")
-        t = np.asarray(self.times, dtype=np.float64)
-        at_zero = np.flatnonzero(t == 0.0)
+        for name in ("times", "sx", "sy"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        at_zero = np.flatnonzero(self.times == 0.0)
         if at_zero.size and abs(abs(self.sx[at_zero[0]]) - abs(self.sx0)) > 1e-12:
             raise ValidationError("sx(0) does not match the initial state")
-        for name in ("times", "sx", "sy"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,7 @@ class RecurrenceProfile:
 
     def __post_init__(self):
         for name in ("nu", "time", "measured", "predicted"):
-            getattr(self, name).setflags(write=False)
+            object.__setattr__(self, name, readonly(getattr(self, name), None))
 
 
 def build_model(N, g, delta_g_rel=0.0, seed=0, r0=None) -> CurieWeissModel:

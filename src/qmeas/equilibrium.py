@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, ValidationError, guard_bytes
 from .qstate import (DensityOperator, Observable, diagonal_or_none, qexpect,
-                     vn_entropy, weighted_magnetization_diag)
+                     readonly, vn_entropy, weighted_magnetization_diag)
 
 _GRAM_RTOL = 1e-10
 _MULTIPLIER_CAP = 1e8
@@ -490,9 +490,7 @@ class PointerModel:
             raise ValidationError("outcomes, projectors, and states must align")
         if self.window <= 0:
             raise ValidationError("window half-width must be positive")
-        p = [np.array(w, dtype=np.float64) for w in self.window_projectors]
-        for w in p:
-            w.setflags(write=False)
+        p = [readonly(w) for w in self.window_projectors]
         object.__setattr__(self, "window_projectors", tuple(p))
         a = _real_diagonals([self.pointer_obs], "pointer observable")[0]
         r = _real_diagonals(self.pointer_states, "pointer state")

@@ -21,18 +21,15 @@ HAVE_COMPILED = False
 
 
 def _prepare(coeffs, times, sin_mask):
-    c = np.ascontiguousarray(coeffs, dtype=np.float64)
-    t = np.ascontiguousarray(np.atleast_1d(np.asarray(times, dtype=np.float64)))
+    c = np.asarray(coeffs, dtype=np.float64)
+    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if c.ndim != 1:
         raise ValidationError("coeffs must be one-dimensional")
     if t.ndim != 1:
         raise ValidationError("times must be scalar or one-dimensional")
-    if sin_mask is None:
-        m = None
-    else:
-        m = np.ascontiguousarray(np.asarray(sin_mask, dtype=bool), dtype=np.uint8)
-        if m.shape != c.shape:
-            raise ValidationError("sin_mask must match coeffs in shape")
+    m = None if sin_mask is None else np.asarray(sin_mask, dtype=bool)
+    if m is not None and m.shape != c.shape:
+        raise ValidationError("sin_mask must match coeffs in shape")
     return c, t, m
 
 

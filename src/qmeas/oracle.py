@@ -36,7 +36,7 @@ import numpy as np
 
 from .curie_weiss import ANALYTIC_N_MAX, CurieWeissModel
 from .errors import ValidationError, guard_bytes
-from .qstate import DensityOperator
+from .qstate import DensityOperator, readonly
 
 # complex128 2^N vectors alive at the peak of a grid pass: 1.0 for
 # grid_expectations (tracemalloc, N = 14..20, one phase tile; the cascade's
@@ -91,10 +91,9 @@ def _sector_weights(model: CurieWeissModel) -> np.ndarray:
     diagonal blocks r_ii I/2^N carry these traces at every time.  Every run
     starts here, so the size guard comes before any 2^N array."""
     guard_spins(model.N)
-    w = np.array(model.r0.matrix, dtype=np.complex128)
+    w = readonly(model.r0.matrix, np.complex128)
     if abs(w[0, 0] + w[1, 1] - 1.0) > _TRACE_TOL:
         raise ValidationError("diagonal block traces must sum to 1")
-    w.setflags(write=False)
     return w
 
 

@@ -21,21 +21,19 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_MIN_EIG = -1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+def readonly(x, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of x as dtype (None keeps x's): every frozen value
+    holds its arrays so, and never freezes or shares its caller's array."""
+    a = np.array(x, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+SIGMA_X = readonly([[0.0, 1.0], [1.0, 0.0]], complex)
+SIGMA_Y = readonly([[0.0, -1.0j], [1.0j, 0.0]], complex)
+SIGMA_Z = readonly([[1.0, 0.0], [0.0, -1.0]], complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-for _p in PAULI:
-    _p.setflags(write=False)
-
-
-def _as_complex_matrix(matrix, what: str) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{what} has non-finite entries")
-    return m
 
 
 def diagonal_or_none(m) -> np.ndarray | None:
@@ -81,18 +79,18 @@ def hermitian_eigvalsh(m) -> np.ndarray:
 
 
 def _validated(matrix, diagonal, what: str) -> tuple:
-    """(dense matrix or None, complex diagonal or None) for one of the two
-    storage modes, after the shape and finiteness checks."""
+    """(dense matrix or None, complex diagonal or None), read-only copies,
+    for one of the two storage modes, after the shape and finiteness checks."""
     if (matrix is None) == (diagonal is None):
         raise ValidationError(f"{what}: give exactly one of matrix and diagonal")
-    if diagonal is None:
-        return _as_complex_matrix(matrix, what), None
-    d = np.array(diagonal, dtype=complex)
-    if d.ndim != 1:
-        raise ValidationError(f"{what} diagonal must be a vector, got shape {d.shape}")
-    if not np.isfinite(d).all():
+    a = readonly(matrix if diagonal is None else diagonal, complex)
+    if diagonal is None and (a.ndim != 2 or a.shape[0] != a.shape[1]):
+        raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
+    if diagonal is not None and a.ndim != 1:
+        raise ValidationError(f"{what} diagonal must be a vector, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
-    return None, d
+    return (a, None) if diagonal is None else (None, a)
 
 
 class _Operator:
@@ -108,14 +106,8 @@ class _Operator:
     __slots__ = ("_matrix", "_diagonal")
 
     def _store(self, m, d) -> None:
-        if m is None:
-            d = d.real.copy()
-            d.setflags(write=False)
-        else:
-            m.setflags(write=False)
-            d = None
         object.__setattr__(self, "_matrix", m)
-        object.__setattr__(self, "_diagonal", d)
+        object.__setattr__(self, "_diagonal", readonly(d.real) if m is None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

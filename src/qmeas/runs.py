@@ -18,6 +18,7 @@ from .qstate import (
     merge,
     partial_trace,
     qexpect,
+    readonly,
     tensor,
     trace_distance,
     vn_entropy,
@@ -40,7 +41,7 @@ class TestedObservable:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.eigenvalues)
-        projs = tuple(np.asarray(p, dtype=np.complex128) for p in self.projectors)
+        projs = tuple(readonly(p, np.complex128) for p in self.projectors)
         if len(vals) != len(projs) or not vals:
             raise ValidationError("need one projector per eigenvalue")
         if len(set(vals)) != len(vals):
@@ -59,8 +60,6 @@ class TestedObservable:
             total += p
         if np.max(np.abs(total - np.eye(dim))) > _PROJ_TOL:
             raise ValidationError("projectors must resolve the identity")
-        for p in projs:
-            p.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "projectors", projs)
 

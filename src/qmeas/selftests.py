@@ -238,7 +238,7 @@ def _selftest_dispersionless():
     import numpy as np
 
     from . import ambiguity
-    from .qstate import Observable, bloch_state, maximally_mixed
+    from .qstate import DensityOperator, Observable, bloch_state, maximally_mixed
 
     z_up = bloch_state((0, 0, 1))
     sz = Observable(np.diag([1.0 + 0j, -1.0]))
@@ -247,6 +247,11 @@ def _selftest_dispersionless():
            "the mixed state must not be dispersionless for s_z")
     fam = ambiguity.dispersionless_family(maximally_mixed(3))
     _check(fam.param_count == 1, "the maximally mixed qutrit must leave one certain parameter")
+    # rank k in dimension 3: (3 - k)^2 + 1 parameters, one basis element each
+    for pops, rank, count in (((0.5, 0.5, 0.0), 2, 2), ((1.0, 0.0, 0.0), 1, 5)):
+        fam = ambiguity.dispersionless_family(DensityOperator(diagonal=pops))
+        _check(fam.rank == rank and fam.param_count == count and len(fam.basis) == count,
+               f"populations {pops} must give rank {rank} and {count} parameters")
 
 
 def _selftest_chsh():
@@ -270,35 +275,33 @@ def _selftest_feasible():
 
     from . import contextuality
 
-    flat = contextuality.CorrelatorTable(np.zeros((2, 2)))
-    res = contextuality.joint_distribution_feasible(flat)
-    _check(res.feasible, "the zero table must be feasible")
-    q = res.distribution.ravel()
-    a_mat, b_vec = contextuality._feasibility_system(flat)
-    _check(q.min() >= 0.0 and np.max(np.abs(a_mat @ q - b_vec)) <= 1e-12,
-           "the zero table's distribution must be nonnegative and reproduce the table")
+    # the zero table, and the moments of a strictly positive joint (nonzero
+    # marginals, strictly inside the local polytope)
+    inner = contextuality.CorrelatorTable(
+        [[-0.451917657447296, 0.1253192321045533], [-0.14012006189081957, 0.43709122600856243]],
+        [-0.12530641049228353, -0.43710404991622376], [-0.422774384657617, -0.9999870116425157])
+    for table in (contextuality.CorrelatorTable(np.zeros((2, 2))), inner):
+        res = contextuality.joint_distribution_feasible(table)
+        a_mat, b_vec = contextuality._feasibility_system(table)
+        _check(res.feasible and res.distribution.min() >= 0.0
+               and np.max(np.abs(a_mat @ res.distribution.ravel() - b_vec)) <= 1e-12,
+               "a table inside the local polytope must get a nonnegative distribution "
+               "that reproduces it")
     # the deterministic assignment z = +1, x = -1, u = -1, v = +1 is vertex 6
-    vertex = contextuality.CorrelatorTable(np.array([[-1.0, 1.0], [1.0, -1.0]]),
-                                           np.array([1.0, -1.0]), np.array([-1.0, 1.0]))
-    res = contextuality.joint_distribution_feasible(vertex)
+    res = contextuality.joint_distribution_feasible(contextuality.CorrelatorTable(
+        [[-1.0, 1.0], [1.0, -1.0]], [1.0, -1.0], [-1.0, 1.0]))
     _check(res.feasible and np.array_equal(res.distribution.ravel(), np.eye(16)[6]),
            "a deterministic table must return its own vertex")
-    # moments of a strictly positive joint: nonzero marginals, strictly inside
-    inner = contextuality.CorrelatorTable(
-        np.array([[-0.451917657447296, 0.1253192321045533],
-                  [-0.14012006189081957, 0.43709122600856243]]),
-        np.array([-0.12530641049228353, -0.43710404991622376]),
-        np.array([-0.422774384657617, -0.9999870116425157]))
-    res = contextuality.joint_distribution_feasible(inner)
-    _check(res.feasible, "a table strictly inside the local polytope must be feasible")
-    q = res.distribution.ravel()
-    a_mat, b_vec = contextuality._feasibility_system(inner)
-    _check(q.min() >= 0.0 and np.max(np.abs(a_mat @ q - b_vec)) <= 1e-12,
-           "a table with marginals must get a nonnegative distribution that reproduces it")
     singlet_table = contextuality.table_from_state(contextuality.singlet_state())
-    res2 = contextuality.joint_distribution_feasible(singlet_table)
-    _check(not res2.feasible and res2.witness.kind == "chsh",
-           "the singlet table must be refuted by a CHSH witness")
+    w = contextuality.joint_distribution_feasible(singlet_table).witness
+    _check(w is not None and w.kind == "chsh" and abs(w.value - 2.0 * np.sqrt(2.0)) <= 1e-12,
+           "the singlet table must be refuted by a CHSH witness of value 2 sqrt 2")
+    # <z> = 1, <u> = -1 and E(z, u) = 1 force the cell z = -1, u = +1 to (1 - 3)/4
+    w = contextuality.joint_distribution_feasible(contextuality.CorrelatorTable(
+        [[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], [-1.0, 0.0])).witness
+    _check(w is not None and (w.kind, w.value) == ("pair_negativity", -0.5) and w.detail
+           == {"first_axis": 0, "second_axis": 0, "first_sign": -1, "second_sign": 1},
+           "the table must be refuted by the pair cell -0.5 at axes (0, 0), signs (-1, +1)")
 
 
 def _selftest_oracle_check():

@@ -46,8 +46,10 @@ def flatten_json(obj, prefix=""):
 
 class TestConfig:
     def test_config_sections_all_apply(self, capsys, tmp_path):
+        # k is cascade's, and passes: one file may serve several commands
         path = tmp_path / "run.ini"
-        path.write_text("[run]\ncommand = truncate\n[model]\nn = 100\n[grid]\npoints = 7\n")
+        path.write_text("[run]\ncommand = truncate\n[model]\nn = 100\n[grid]\npoints = 7\n"
+                        "[cascade]\nk = 2\n")
         code, out, _ = run_cli(capsys, "--config", str(path))
         assert code == 0
         assert len(strip_version_header(out).splitlines()) == 1 + 7
@@ -111,6 +113,32 @@ class TestConfig:
         assert joined == (0, out, "")
         assert _exit_code(["truncate", "--points"]) == 2
         assert "--points: expected one argument" in capsys.readouterr().err
+
+    def test_abbreviated_flag_value_may_start_with_a_dash(self, capsys):
+        # argparse takes --corr for the one option it starts; --co starts
+        # both --config and --correlators, and stays refused
+        code, out, _ = run_cli(capsys, "feasible", "--corr", "-0.5,0,0,0")
+        assert code == 0
+        assert run_cli(capsys, "feasible", "--correlators=-0.5,0,0,0") == (0, out, "")
+        assert _exit_code(["feasible", "--co", "-0.5,0,0,0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            _commands.parse("feasible", ["--co", "-0.5,0,0,0"], {})
+        assert exc.value.code == 2
+        assert "ambiguous option: --co" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\npoints = 7\n", "config file must name a command when none is given"),
+        ("[run]\ncommand = nosuch\n", "unknown command 'nosuch' in config"),
+        ("[run]\ncommand = truncate\n[grid]\npionts = 7\n",
+         "config key 'pionts' names no option of any command"),
+    ], ids=["no-command", "unknown-command", "unknown-key"])
+    def test_config_refusal_message(self, capsys, tmp_path, text, message):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"qmeas: config: {message}\n"
 
     def test_config_supplies_defaults(self, capsys, tmp_path):
         path = tmp_path / "run.ini"
@@ -410,8 +438,12 @@ class TestExitCodes:
         (("recur", "--g", "1e-308", "--nu-max", "2"),
          "the recurrence peak time nu_max pi/(2g) must be finite"),
         (("born", "--config"), "--config needs a path"),
+        (("truncate", "--N", "8", "--g", "1e-300", "--tmax-tau", "1e10"),
+         "the doubled grid end 2 tmax_tau tau must be finite; lower --tmax-tau"),
+        (("oracle-check", "--N", "8", "--tmax-tau", "5e307", "--points", "3"),
+         "the phase t (K_1 - K_0) must be finite; lower the grid end or g"),
     ], ids=["r0-name", "r0-count", "r0-component", "correlators-count", "correlators-value",
-            "recur-peak-time", "config-path"])
+            "recur-peak-time", "config-path", "truncate-grid-end", "oracle-phase"])
     def test_refusal_message(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -504,7 +536,8 @@ class TestSelftests:
 
     @pytest.mark.parametrize("fault", [
         "finalstate", "born", "truncate", "cascade", "register-pair", "register-scalar",
-        "register-pointer-limit", "finalstate-window", "reduce-luders", "recur", "ambiguity"])
+        "register-pointer-limit", "finalstate-window", "reduce-luders", "recur", "ambiguity",
+        "feasible-witness", "dispersionless-count"])
     def test_selftests_see_a_fault(self, capsys, monkeypatch, fault):
         # finalstate: every ln C(N, k) scaled by 1 + 1e-6; born: the Born
         # weights moved by +-1e-6, inside numpy's default rtol of 1e-5;
@@ -517,7 +550,9 @@ class TestSelftests:
         # which leaves equal couplings' peaks at exactly 1; ambiguity: the
         # chord weights pulled apart by 1e-12 of their difference, which
         # leaves them 1/2 at the chord's centre and passes the decomposition's
-        # own 1e-12 checks
+        # own 1e-12 checks; feasible: every witness value scaled by 1.01;
+        # dispersionless: m(m + 1) + 1 parameters for m = n - k, which is
+        # (n - k)^2 + 1 at m = 0
         command = fault.split("-")[0]
         if fault in ("register-pair", "register-scalar"):
             magnetization = equilibrium.meanfield_magnetization
@@ -580,6 +615,28 @@ class TestSelftests:
                 return dataclasses.replace(dec, rho1=dec.rho1 + shift, rho2=dec.rho2 - shift)
 
             monkeypatch.setattr(ambiguity, "chord_decomposition", pulled)
+        elif fault == "feasible-witness":
+            feasible = contextuality.joint_distribution_feasible
+
+            def inflated(*args):
+                res = feasible(*args)
+                if res.witness is None:
+                    return res
+                witness = dataclasses.replace(res.witness, value=res.witness.value * 1.01)
+                return dataclasses.replace(res, witness=witness)
+
+            monkeypatch.setattr(contextuality, "joint_distribution_feasible", inflated)
+        elif fault == "dispersionless-count":
+            from qmeas import ambiguity
+
+            family = ambiguity.dispersionless_family
+
+            def miscounted(state, *args):
+                fam = family(state, *args)
+                m = state.dim - fam.rank
+                return dataclasses.replace(fam, param_count=m * (m + 1) + 1)
+
+            monkeypatch.setattr(ambiguity, "dispersionless_family", miscounted)
         elif command == "cascade":
             cascade = curie_weiss.cascade_correlation
             monkeypatch.setattr(curie_weiss, "cascade_correlation",
